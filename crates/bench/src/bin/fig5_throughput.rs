@@ -2,7 +2,8 @@
 //!
 //! Reports updates consumed per second for `CPU-Base`, `CPU-Seq`,
 //! `CPU-MT[Opt]`, `Monte-Carlo` and `Ligra` (the paper's GPU line is
-//! covered by CPU-MT; see DESIGN.md substitutions). The paper's shape:
+//! covered by CPU-MT, which runs the same parallel push on CPU threads
+//! where no GPU is available). The paper's shape:
 //! CPU-MT ≫ CPU-Seq ≫ CPU-Base, Monte-Carlo slowest of the maintained
 //! baselines, Ligra between CPU-Seq and CPU-MT, and CPU-MT's advantage
 //! growing with the batch size.

@@ -38,9 +38,15 @@ use rand::{Rng, SeedableRng};
 use std::io::{BufRead as _, BufReader, Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 const MIX: &str = "topk 0.4, score 0.4, threshold 0.1, compare 0.1";
+
+/// Audited runs probe up to this many sessions per observer tick...
+const AUDIT_SAMPLE: usize = 8;
+/// ...every this often.
+const AUDIT_INTERVAL: Duration = Duration::from_millis(500);
 
 #[derive(Clone)]
 struct LoadSpec {
@@ -189,6 +195,10 @@ struct ModeResult {
     p99: f64,
     errors: u64,
     report: ServeReport,
+    /// Logical window updates per second of wall time: updates offered
+    /// after boot, divided by the write shards (each applies the whole
+    /// stream to its own replica), over the time the server ran.
+    logical_updates_per_sec: f64,
     /// The server's own pipeline-stage histograms, snapshotted after the
     /// clients drained (name, nanosecond snapshot).
     timings: Vec<(&'static str, HistSnapshot)>,
@@ -215,15 +225,15 @@ fn run_mode(mode: Mode, spec: &LoadSpec) -> ModeResult {
             // Pace the stream: a real update feed arrives at some rate
             // instead of replaying as fast as one core can push it, and an
             // unpaced writer starves the query path of CPU on small boxes.
-            // `updates_per_sec` is normalized to engine time, so pacing
-            // does not distort the update-throughput comparison.
+            // Every configuration pays the same pause per slide, so the
+            // logical rates of a sweep stay comparable.
             slide_pause: Duration::from_millis(2),
             write_shards: spec.write_shards,
             // Audited runs also register generous SLO targets so the
             // dppr_slo_* families appear in the exported scrape without
             // the burn-rate shed path distorting the comparison.
-            audit_sample: if spec.audit { 8 } else { 0 },
-            audit_interval: Duration::from_millis(500),
+            audit_sample: if spec.audit { AUDIT_SAMPLE } else { 0 },
+            audit_interval: AUDIT_INTERVAL,
             slo_p99: if spec.audit { Duration::from_secs(10) } else { Duration::ZERO },
             slo_availability: if spec.audit { 0.5 } else { 0.0 },
             slo_topk_overlap: if spec.audit { 0.5 } else { 0.0 },
@@ -232,6 +242,7 @@ fn run_mode(mode: Mode, spec: &LoadSpec) -> ModeResult {
     )
     .expect("server start");
     let addr = handle.addr();
+    let (booted, offered_at_boot) = (Instant::now(), handle.stats().updates_offered.load(Relaxed));
     eprintln!(
         "[{}] serving {} sessions over n={n} at {addr} ({} write shards); {} clients for {:?}",
         mode.name(),
@@ -283,6 +294,9 @@ fn run_mode(mode: Mode, spec: &LoadSpec) -> ModeResult {
     let qps = total as f64 / spec.duration.as_secs_f64();
     let p50 = percentile(&latencies, 0.50);
     let p99 = percentile(&latencies, 0.99);
+    let offered = handle.stats().updates_offered.load(Relaxed) - offered_at_boot;
+    let logical_updates_per_sec =
+        offered as f64 / spec.write_shards.max(1) as f64 / booted.elapsed().as_secs_f64();
     // Scrape + snapshot the server's own books while it is still up.
     let metrics_prom = fetch_body(addr, "/metrics").expect("scrape /metrics");
     let m = handle.metrics();
@@ -304,7 +318,17 @@ fn run_mode(mode: Mode, spec: &LoadSpec) -> ModeResult {
         report.connections,
         report.http_requests,
     );
-    ModeResult { total, qps, p50, p99, errors, report, timings, metrics_prom }
+    ModeResult {
+        total,
+        qps,
+        p50,
+        p99,
+        errors,
+        report,
+        logical_updates_per_sec,
+        timings,
+        metrics_prom,
+    }
 }
 
 fn mode_json(r: &ModeResult) -> String {
@@ -323,7 +347,7 @@ fn mode_json(r: &ModeResult) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\n    \"write_shards\": {},\n    \"queries\": {{ \"total\": {}, \"per_sec\": {:.0}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"errors\": {} }},\n    \"http\": {{ \"connections\": {}, \"requests\": {}, \"bad_requests\": {}, \"shed\": {} }},\n    \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }},\n    \"updates_under_load\": {{ \"slides\": {}, \"offered\": {}, \"applied\": {}, \"updates_per_sec\": {:.0}, \"stream_done\": {} }},\n    \"server_timings\": {{ {timings} }},\n    \"epoch\": {}\n  }}",
+        "{{\n    \"write_shards\": {},\n    \"queries\": {{ \"total\": {}, \"per_sec\": {:.0}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"errors\": {} }},\n    \"http\": {{ \"connections\": {}, \"requests\": {}, \"bad_requests\": {}, \"shed\": {} }},\n    \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }},\n    \"updates_under_load\": {{ \"slides\": {}, \"offered\": {}, \"applied\": {}, \"updates_per_sec\": {:.0}, \"logical_updates_per_sec\": {:.0}, \"stream_done\": {} }},\n    \"server_timings\": {{ {timings} }},\n    \"epoch\": {}\n  }}",
         r.report.write_shards,
         r.total,
         r.qps,
@@ -342,6 +366,7 @@ fn mode_json(r: &ModeResult) -> String {
         r.report.updates_offered,
         r.report.updates_applied,
         r.report.updates_per_sec,
+        r.logical_updates_per_sec,
         r.report.stream_done,
         r.report.epoch,
     )
@@ -349,12 +374,15 @@ fn mode_json(r: &ModeResult) -> String {
 
 /// `--write-shards-sweep 1,4`: one fresh keep-alive-mode run per shard
 /// count over the identical stream and client fleet, comparing the
-/// update throughput each configuration sustains. `updates_per_sec` is
-/// normalized to engine time, so on small CI boxes the sweep measures
-/// the real effect — each shard pushes only its own sessions' PPR mass
-/// per slide — rather than core count. The `.prom` export is the
-/// *largest* configuration's scrape, so the per-shard labelled families
-/// are present for the CI grep gate.
+/// *logical* update throughput each configuration sustains — window
+/// updates per second of wall time, counted once however many replicas
+/// applied them — next to its query rate and tail latency. Engine-time
+/// `updates_per_sec` sums replica work, so it is reported but not the
+/// headline. A run that drained the stream inside its window has a
+/// logical rate capped by the stream length, so the comparison is
+/// marked invalid (with the reason) rather than reported as a ratio.
+/// The `.prom` export is the *largest* configuration's scrape, so the
+/// per-shard labelled families are present for the CI grep gate.
 fn run_shard_sweep(
     counts: &[usize],
     base_spec: &LoadSpec,
@@ -400,22 +428,41 @@ fn run_shard_sweep(
     let most = results.iter().max_by_key(|(w, _)| *w);
     if let (Some((_, r1)), Some((w, rw))) = (one, most) {
         if *w > 1 {
-            let ratio = if r1.report.updates_per_sec > 0.0 {
-                rw.report.updates_per_sec / r1.report.updates_per_sec
+            let drained: Vec<String> = [(1, r1), (*w, rw)]
+                .iter()
+                .filter(|(_, r)| r.report.stream_done)
+                .map(|(n, _)| format!("{n}-shard"))
+                .collect();
+            let (ratio, reason) = if !drained.is_empty() {
+                let why = format!(
+                    "the {} run drained the stream inside the window, so its logical rate is \
+                     capped by the stream length, not by throughput",
+                    drained.join(" and ")
+                );
+                eprintln!("[shard-sweep] comparison invalid: {why}");
+                ("null".to_string(), format!("\"{why}\""))
+            } else if r1.logical_updates_per_sec > 0.0 {
+                let ratio = rw.logical_updates_per_sec / r1.logical_updates_per_sec;
+                (format!("{ratio:.2}"), "null".to_string())
             } else {
-                0.0
+                ("null".to_string(), "\"the 1-shard run applied no updates\"".to_string())
             };
             json.push_str(&format!(
-                "  \"comparison\": {{ \"update_throughput_{w}shard_vs_1shard\": {ratio:.2}, \
-                 \"updates_per_sec_1shard\": {:.0}, \"updates_per_sec_{w}shard\": {:.0}, \
-                 \"logical_updates_offered_1shard\": {}, \"logical_updates_offered_{w}shard\": {}, \
-                 \"query_p50_ms_1shard\": {:.3}, \"query_p99_ms_1shard\": {:.3} }},\n",
+                "  \"comparison\": {{ \"logical_update_ratio_{w}shard_vs_1shard\": {ratio}, \
+                 \"valid\": {}, \"invalid_reason\": {reason}, \
+                 \"logical_updates_per_sec_1shard\": {:.0}, \"logical_updates_per_sec_{w}shard\": {:.0}, \
+                 \"engine_time_updates_per_sec_1shard\": {:.0}, \"engine_time_updates_per_sec_{w}shard\": {:.0}, \
+                 \"query_per_sec_1shard\": {:.0}, \"query_per_sec_{w}shard\": {:.0}, \
+                 \"query_p99_ms_1shard\": {:.3}, \"query_p99_ms_{w}shard\": {:.3} }},\n",
+                reason == "null",
+                r1.logical_updates_per_sec,
+                rw.logical_updates_per_sec,
                 r1.report.updates_per_sec,
                 rw.report.updates_per_sec,
-                r1.report.updates_offered,
-                rw.report.updates_offered / *w as u64,
-                r1.p50,
+                r1.qps,
+                rw.qps,
                 r1.p99,
+                rw.p99,
             ));
         }
     }
@@ -453,7 +500,8 @@ fn run_shard_sweep(
 
 /// `--audit-overhead`: fresh keep-alive runs over the identical stream
 /// and client fleet — with the online accuracy auditor + SLO engine on
-/// (4 write shards, up to 8 audited sessions per 500 ms tick) vs off —
+/// (4 write shards, up to [`AUDIT_SAMPLE`] audited sessions per
+/// [`AUDIT_INTERVAL`] tick) vs off —
 /// comparing the query throughput and tail latency the server sustains.
 /// The acceptance bar is that auditing is an observer, not a tax:
 /// audited throughput within 5% and p99 within 5% (plus a small
@@ -522,9 +570,10 @@ fn run_audit_overhead(
         }
     ));
     json.push_str(&format!(
-        "  \"server\": {{ \"stream\": \"rmat_stream(scale={}, m={}, seed=0xBEEF)\", \"vertices\": {n}, \"sessions\": {}, \"threads\": {}, \"batch\": {}, \"epsilon\": 1e-4, \"write_shards\": {}, \"audit\": \"sample=8 interval=200ms + slo targets (audited run only)\" }},\n",
+        "  \"server\": {{ \"stream\": \"rmat_stream(scale={}, m={}, seed=0xBEEF)\", \"vertices\": {n}, \"sessions\": {}, \"threads\": {}, \"batch\": {}, \"epsilon\": 1e-4, \"write_shards\": {}, \"audit\": \"sample={AUDIT_SAMPLE} interval={}ms + slo targets (audited run only)\" }},\n",
         base_spec.scale, base_spec.edges, base_spec.sessions, base_spec.threads, base_spec.batch,
         spec_off.write_shards,
+        AUDIT_INTERVAL.as_millis(),
     ));
     json.push_str(&format!(
         "  \"load\": {{ \"clients\": {}, \"duration_secs\": {}, \"mix\": \"{MIX}\", \"mode\": \"keepalive\" }},\n",

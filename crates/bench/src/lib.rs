@@ -1,9 +1,9 @@
 //! Shared plumbing for the experiment binaries and Criterion benches.
 //!
 //! Each `src/bin/fig*.rs` binary regenerates one figure/table of the
-//! paper's evaluation (see `DESIGN.md` §5 for the index and
-//! `EXPERIMENTS.md` for paper-vs-measured outcomes). Output is TSV on
-//! stdout so results can be piped into any plotting tool.
+//! paper's evaluation (the README's "Figure reproductions" section is
+//! the index). Output is TSV on stdout so results can be piped into any
+//! plotting tool.
 
 pub mod setup;
 

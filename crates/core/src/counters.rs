@@ -12,7 +12,7 @@
 //! rayon task, so profiling adds no per-edge atomic traffic.
 
 use std::fmt;
-use std::ops::Sub;
+use std::ops::{Add, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared counters, updated by flushing [`LocalCounters`].
@@ -202,6 +202,28 @@ impl CounterSnapshot {
     }
 }
 
+impl Add for CounterSnapshot {
+    type Output = CounterSnapshot;
+
+    /// Component-wise sum, for merging engines that maintain disjoint
+    /// sessions; `max_frontier` takes the larger value.
+    fn add(self, rhs: CounterSnapshot) -> CounterSnapshot {
+        CounterSnapshot {
+            pushes: self.pushes + rhs.pushes,
+            edge_traversals: self.edge_traversals + rhs.edge_traversals,
+            atomic_adds: self.atomic_adds + rhs.atomic_adds,
+            cas_retries: self.cas_retries + rhs.cas_retries,
+            enqueued: self.enqueued + rhs.enqueued,
+            dup_avoided: self.dup_avoided + rhs.dup_avoided,
+            iterations: self.iterations + rhs.iterations,
+            max_frontier: self.max_frontier.max(rhs.max_frontier),
+            frontier_total: self.frontier_total + rhs.frontier_total,
+            restore_ops: self.restore_ops + rhs.restore_ops,
+            batches: self.batches + rhs.batches,
+        }
+    }
+}
+
 impl Sub for CounterSnapshot {
     type Output = CounterSnapshot;
 
@@ -305,6 +327,14 @@ mod tests {
         let delta = c.snapshot() - before;
         assert_eq!(delta.pushes, 4);
         assert_eq!(delta.iterations, 1);
+    }
+
+    #[test]
+    fn snapshot_sum_adds_work_and_keeps_the_larger_max() {
+        let a = CounterSnapshot { pushes: 3, max_frontier: 7, batches: 1, ..Default::default() };
+        let b = CounterSnapshot { pushes: 4, max_frontier: 5, batches: 1, ..Default::default() };
+        let sum = a + b;
+        assert_eq!((sum.pushes, sum.max_frontier, sum.batches), (7, 7, 2));
     }
 
     #[test]

@@ -37,8 +37,10 @@
 //! ```
 //!
 //! holding at all times and `|π(v) − Ps(v)| ≤ ε` for all `v` whenever no
-//! residual exceeds ε in absolute value. See `DESIGN.md` for why this is
-//! the quantity the paper's Algorithms 1–4 compute.
+//! residual exceeds ε in absolute value. This is the quantity the paper's
+//! Algorithms 1–4 compute: the right-hand side sums over `v`'s
+//! *out*-neighbours, so a push at `u` hands residual to `u`'s
+//! *in*-neighbours, walking contributions back towards the target.
 
 pub mod atomic;
 pub mod checksum;

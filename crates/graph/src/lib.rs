@@ -11,7 +11,8 @@
 //!   read-mostly analytics and baselines.
 //! * [`generators`] — seeded Erdős–Rényi, Barabási–Albert and R-MAT
 //!   generators used as laptop-scale stand-ins for the SNAP datasets of the
-//!   paper's §5.1 (see `DESIGN.md` for the substitution rationale).
+//!   paper's §5.1, which are not available offline ([`presets`] pairs
+//!   each paper graph with its generator).
 //! * [`stream`] — timestamped edge streams and the sliding-window update
 //!   model used throughout the paper's evaluation.
 //! * [`io`] — SNAP-style edge-list text I/O.

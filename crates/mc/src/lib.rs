@@ -28,7 +28,8 @@
 //! distribution from the source (walks stop at dangling vertices), which is
 //! the quantity [10] maintains. The throughput comparison with the
 //! local-update engines is about *maintenance cost per update*, not about
-//! agreeing on the same vector; see `DESIGN.md`.
+//! agreeing on the same vector: those engines maintain each vertex's
+//! contribution to a target (see the `dppr-core` crate docs).
 
 pub mod walks;
 

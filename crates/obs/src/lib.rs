@@ -6,8 +6,9 @@
 //! - [`hist`]: fixed-bucket log-scale histograms (~×1.2 per bucket)
 //!   with thread-local accumulation, exact merging across shards, and
 //!   p50/p90/p99/p999 extraction at bucket resolution.
-//! - [`registry`]: a named-metric registry (counters, gauges,
-//!   histograms) with Prometheus text-format exposition.
+//! - [`registry`]: a named-histogram registry with Prometheus
+//!   text-format exposition, plus the [`Gauge`] cell and the
+//!   [`PromText`] writer for scalars rendered at scrape time.
 //! - [`trace`]: every-Nth sampling and a bounded JSON-lines ring for
 //!   end-to-end request/slide traces.
 //! - [`series`]: a fixed-capacity ring of periodic metric snapshots
@@ -27,6 +28,6 @@ pub mod trace;
 
 pub use hist::{bounds, bucket_index, HistSnapshot, Histogram, LocalHistogram};
 pub use process::ProcessStats;
-pub use registry::{escape_label_value, Counter, Gauge, PromText, Registry, Unit};
+pub use registry::{escape_label_value, Gauge, PromText, Registry, Unit};
 pub use series::{SeriesRing, SeriesWindow};
 pub use trace::{Sampler, TraceRing};

@@ -1,33 +1,18 @@
-//! Named-metric registry and Prometheus text exposition (format 0.0.4).
+//! Histogram registry and Prometheus text exposition (format 0.0.4).
 //!
-//! Registration takes a lock; recording never does — counters and
-//! gauges are plain atomics behind `Arc`, histograms are
-//! [`crate::Histogram`]. Rendering walks the registry under the lock,
-//! loading each metric relaxed, and groups series by family so `# HELP`
-//! / `# TYPE` appear exactly once per family even when several labeled
-//! series share a name.
+//! Registration takes a lock; recording never does — each histogram is
+//! a [`crate::Histogram`] behind an `Arc`. Rendering snapshots the
+//! registry under the lock and groups series by family so `# HELP` /
+//! `# TYPE` appear exactly once per family even when several labeled
+//! series share a name. Scalars (counters and gauges) are not
+//! registered here: callers keep them where they are updated and render
+//! them at scrape time through [`PromText`].
 
 use crate::hist::{HistSnapshot, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
-
-/// Monotone counter.
-#[derive(Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    pub fn inc(&self) {
-        self.add(1);
-    }
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Relaxed);
-    }
-    pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
-    }
-}
 
 /// Instantaneous value; may go down.
 #[derive(Default)]
@@ -50,24 +35,19 @@ pub enum Unit {
     Nanos,
 }
 
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>, Unit),
-}
-
 struct Entry {
     /// Family name, e.g. `dppr_http_request_seconds`.
     name: &'static str,
     help: &'static str,
     /// Optional single `key="value"` label pair.
     label: Option<(&'static str, String)>,
-    metric: Metric,
+    hist: Arc<Histogram>,
+    unit: Unit,
 }
 
-/// The process-wide metric registry. Cloning the `Arc` handles returned
-/// by the `register_*` methods is the only way to record; the registry
-/// itself is only walked at scrape time.
+/// The process-wide histogram registry. Cloning the `Arc` handles
+/// returned by the registration methods is the only way to record; the
+/// registry itself is only walked at scrape time.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
@@ -78,35 +58,8 @@ impl Registry {
         Self::default()
     }
 
-    pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
-        let c = Arc::new(Counter::default());
-        self.push(name, help, None, Metric::Counter(c.clone()));
-        c
-    }
-
-    pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::default());
-        self.push(name, help, None, Metric::Gauge(g.clone()));
-        g
-    }
-
-    /// A labeled gauge series, e.g. `dppr_shard_connections{shard="2"}`.
-    pub fn gauge_with_label(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        key: &'static str,
-        value: impl Into<String>,
-    ) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::default());
-        self.push(name, help, Some((key, value.into())), Metric::Gauge(g.clone()));
-        g
-    }
-
     pub fn histogram(&self, name: &'static str, help: &'static str, unit: Unit) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
-        self.push(name, help, None, Metric::Histogram(h.clone(), unit));
-        h
+        self.push(name, help, None, unit)
     }
 
     /// A labeled histogram series, e.g.
@@ -121,9 +74,7 @@ impl Registry {
         key: &'static str,
         value: impl Into<String>,
     ) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
-        self.push(name, help, Some((key, value.into())), Metric::Histogram(h.clone(), unit));
-        h
+        self.push(name, help, Some((key, value.into())), unit)
     }
 
     fn push(
@@ -131,19 +82,18 @@ impl Registry {
         name: &'static str,
         help: &'static str,
         label: Option<(&'static str, String)>,
-        metric: Metric,
-    ) {
-        self.entries.lock().unwrap().push(Entry { name, help, label, metric });
+        unit: Unit,
+    ) -> Arc<Histogram> {
+        let hist = Arc::new(Histogram::new());
+        self.entries.lock().unwrap().push(Entry { name, help, label, hist: hist.clone(), unit });
+        hist
     }
 
     /// Look up a registered histogram by family name (for report
     /// generators that want percentiles out of the live server).
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistSnapshot> {
         let entries = self.entries.lock().unwrap();
-        entries.iter().find_map(|e| match (&e.metric, e.name == name) {
-            (Metric::Histogram(h, _), true) => Some(h.snapshot()),
-            _ => None,
-        })
+        entries.iter().find(|e| e.name == name).map(|e| e.hist.snapshot())
     }
 
     /// Number of distinct metric families registered so far.
@@ -155,10 +105,9 @@ impl Registry {
         names.len()
     }
 
-    /// Render every registered metric in Prometheus text format.
-    /// `extra` lets the caller append families computed at scrape time
-    /// (values that already live elsewhere, like `ServerStats` atomics)
-    /// without double-registering them.
+    /// Render every registered histogram in Prometheus text format,
+    /// followed by `extra`: the families the caller computes at scrape
+    /// time (scalars that live elsewhere, like `ServerStats` atomics).
     ///
     /// The registry lock is held only while values are *snapshotted*;
     /// all text formatting happens on the owned snapshot afterwards, so
@@ -169,12 +118,8 @@ impl Registry {
             name: &'static str,
             help: &'static str,
             label: Option<(&'static str, String)>,
-            value: ValueSnap,
-        }
-        enum ValueSnap {
-            Counter(u64),
-            Gauge(i64),
-            Histogram(HistSnapshot, Unit),
+            hist: HistSnapshot,
+            unit: Unit,
         }
         let snaps: Vec<Snap> = {
             let entries = self.entries.lock().unwrap();
@@ -184,11 +129,8 @@ impl Registry {
                     name: e.name,
                     help: e.help,
                     label: e.label.clone(),
-                    value: match &e.metric {
-                        Metric::Counter(c) => ValueSnap::Counter(c.get()),
-                        Metric::Gauge(g) => ValueSnap::Gauge(g.get()),
-                        Metric::Histogram(h, unit) => ValueSnap::Histogram(h.snapshot(), *unit),
-                    },
+                    hist: e.hist.snapshot(),
+                    unit: e.unit,
                 })
                 .collect()
         };
@@ -205,20 +147,9 @@ impl Registry {
         }
         for name in order {
             let group = &families[name];
-            let first = group[0];
-            match &first.value {
-                ValueSnap::Counter(_) => out.family(name, first.help, "counter"),
-                ValueSnap::Gauge(_) => out.family(name, first.help, "gauge"),
-                ValueSnap::Histogram(..) => out.family(name, first.help, "histogram"),
-            }
+            out.family(name, group[0].help, "histogram");
             for s in group {
-                match &s.value {
-                    ValueSnap::Counter(v) => out.series_u64(name, s.label.as_ref(), *v),
-                    ValueSnap::Gauge(v) => out.series_i64(name, s.label.as_ref(), *v),
-                    ValueSnap::Histogram(snap, unit) => {
-                        out.histogram_labeled(name, s.label.as_ref(), snap, *unit)
-                    }
-                }
+                out.histogram_labeled(name, s.label.as_ref(), &s.hist, s.unit);
             }
         }
         out.text.push_str(&extra.text);
@@ -264,29 +195,6 @@ impl PromText {
         let _ = writeln!(self.text, "# TYPE {name} {kind}");
     }
 
-    fn label_str(label: Option<&(&'static str, String)>) -> String {
-        match label {
-            Some((k, v)) => format!("{{{k}=\"{}\"}}", escape_label_value(v)),
-            None => String::new(),
-        }
-    }
-
-    pub fn series_u64(&mut self, name: &str, label: Option<&(&'static str, String)>, v: u64) {
-        let _ = writeln!(self.text, "{name}{} {v}", Self::label_str(label));
-    }
-
-    pub fn series_i64(&mut self, name: &str, label: Option<&(&'static str, String)>, v: i64) {
-        let _ = writeln!(self.text, "{name}{} {v}", Self::label_str(label));
-    }
-
-    pub fn series_f64(&mut self, name: &str, label: Option<&(&'static str, String)>, v: f64) {
-        if v.is_finite() {
-            let _ = writeln!(self.text, "{name}{} {v}", Self::label_str(label));
-        } else {
-            let _ = writeln!(self.text, "{name}{} NaN", Self::label_str(label));
-        }
-    }
-
     fn labels_str(labels: &[(&str, &str)]) -> String {
         if labels.is_empty() {
             return String::new();
@@ -312,22 +220,6 @@ impl PromText {
     /// [`PromText::series_f64_multi`] for integer-valued series.
     pub fn series_u64_multi(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
         let _ = writeln!(self.text, "{name}{} {v}", Self::labels_str(labels));
-    }
-
-    /// One-line helpers for ad-hoc families (header + single series).
-    pub fn counter_u64(&mut self, name: &str, help: &str, v: u64) {
-        self.family(name, help, "counter");
-        self.series_u64(name, None, v);
-    }
-
-    pub fn gauge_u64(&mut self, name: &str, help: &str, v: u64) {
-        self.family(name, help, "gauge");
-        self.series_u64(name, None, v);
-    }
-
-    pub fn gauge_f64(&mut self, name: &str, help: &str, v: f64) {
-        self.family(name, help, "gauge");
-        self.series_f64(name, None, v);
     }
 
     /// Render a histogram snapshot: cumulative `_bucket{le=...}` lines
@@ -384,18 +276,18 @@ mod tests {
     #[test]
     fn render_groups_families_and_escapes_labels() {
         let r = Registry::new();
-        let c = r.counter("t_total", "a counter");
-        let g0 = r.gauge_with_label("t_conns", "per-shard", "shard", "0");
-        let g1 = r.gauge_with_label("t_conns", "per-shard", "shard", "a\"b\\c\nd");
-        c.add(3);
-        g0.set(7);
-        g1.set(-2);
-        let text = r.render_prometheus(&mut PromText::new());
-        assert!(text.contains("# HELP t_total a counter\n# TYPE t_total counter\nt_total 3\n"));
+        r.histogram_with_label("t_conns", "per-shard", Unit::Raw, "shard", "0");
+        r.histogram_with_label("t_conns", "per-shard", Unit::Raw, "shard", "a\"b\\c\nd");
+        let mut extra = PromText::new();
+        extra.family("t_total", "a counter", "counter");
+        extra.series_u64_multi("t_total", &[], 3);
+        let text = r.render_prometheus(&mut extra);
         // One header for the two-series family.
-        assert_eq!(text.matches("# TYPE t_conns gauge").count(), 1);
-        assert!(text.contains("t_conns{shard=\"0\"} 7\n"));
-        assert!(text.contains("t_conns{shard=\"a\\\"b\\\\c\\nd\"} -2\n"));
+        assert_eq!(text.matches("# TYPE t_conns histogram").count(), 1);
+        assert!(text.contains("t_conns_count{shard=\"0\"} 0\n"));
+        assert!(text.contains("t_conns_count{shard=\"a\\\"b\\\\c\\nd\"} 0\n"));
+        // Caller-rendered families follow the registry's.
+        assert!(text.ends_with("# HELP t_total a counter\n# TYPE t_total counter\nt_total 3\n"));
     }
 
     #[test]
@@ -431,9 +323,9 @@ mod tests {
     fn family_count_dedupes_labeled_series() {
         let r = Registry::new();
         assert_eq!(r.family_count(), 0);
-        r.counter("t_a_total", "a");
-        r.gauge_with_label("t_b", "b", "shard", "0");
-        r.gauge_with_label("t_b", "b", "shard", "1");
+        r.histogram("t_a", "a", Unit::Raw);
+        r.histogram_with_label("t_b", "b", Unit::Raw, "shard", "0");
+        r.histogram_with_label("t_b", "b", Unit::Raw, "shard", "1");
         r.histogram("t_c_seconds", "c", Unit::Nanos);
         assert_eq!(r.family_count(), 3);
     }

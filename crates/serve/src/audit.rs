@@ -14,9 +14,10 @@
 //!    the rayon pool from the write path) and reports L1/L∞ error,
 //!    top-k overlap, and the Eq. 2 invariant residual as
 //!    `dppr_audit_*` metric families.
-//! 2. samples selected counters, gauges, and windowed percentiles into
-//!    the in-process time-series ring ([`dppr_obs::SeriesRing`],
-//!    served by `GET /series`).
+//! 2. samples the metric catalog's `/series` columns (selected
+//!    counters, gauges, and this tick's request percentiles) into the
+//!    in-process time-series ring ([`dppr_obs::SeriesRing`], served by
+//!    `GET /series`).
 //! 3. evaluates the configured SLOs as fast/slow burn-rate windows
 //!    over that series; a fast-window latency breach flips the shed
 //!    flag the query path consults, and every breach shows up in
@@ -32,7 +33,7 @@ use crate::snapshot::QuerySnapshot;
 use dppr_core::multi::top_k_of;
 use dppr_core::{exact_ppr_seq, max_invariant_violation, PprState};
 use dppr_graph::{DynamicGraph, VertexId};
-use dppr_obs::{HistSnapshot, ProcessStats, SeriesRing};
+use dppr_obs::{HistSnapshot, SeriesRing};
 use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
@@ -52,26 +53,9 @@ pub(crate) const SLOW_TICKS: usize = 60;
 /// default tick).
 const SERIES_CAP: usize = 512;
 
-/// The fixed column set of the in-process time-series. Push order in
-/// the observer must match this list.
-pub(crate) const SERIES_NAMES: [&str; 13] = [
-    "http_requests_total",
-    "queries_total",
-    "shed_total",
-    "slides_total",
-    "epoch",
-    "sessions",
-    "http_request_p50_seconds",
-    "http_request_p99_seconds",
-    "audit_linf_error",
-    "audit_topk_overlap_10",
-    "process_rss_bytes",
-    "process_open_fds",
-    "process_threads",
-];
-
+/// The time-series ring over the catalog's `/series` columns.
 pub(crate) fn new_series_ring() -> SeriesRing {
-    SeriesRing::new(SERIES_NAMES.to_vec(), SERIES_CAP)
+    SeriesRing::new(crate::catalog::series_names(), SERIES_CAP)
 }
 
 // --- audit data flow ------------------------------------------------------
@@ -108,8 +92,8 @@ impl F64Cell {
     }
 }
 
-/// Audit scalars published by the observer, read by `/metrics`,
-/// `/stats`, and the accuracy SLO.
+/// Scalars published by the observer thread, read through the metric
+/// catalog and by the accuracy SLO.
 pub(crate) struct AuditShared {
     /// Whether accuracy audits run at all (`--audit-sample > 0`).
     pub(crate) enabled: bool,
@@ -136,6 +120,10 @@ pub(crate) struct AuditShared {
     pub(crate) last_overlap50: F64Cell,
     /// Largest Eq. 2 invariant residual in the last audit.
     pub(crate) last_residual: F64Cell,
+    /// HTTP request p50 / p99 (seconds) over the last observer tick
+    /// alone, not the whole run: the `/series` latency columns.
+    pub(crate) tick_p50: F64Cell,
+    pub(crate) tick_p99: F64Cell,
 }
 
 impl AuditShared {
@@ -157,6 +145,8 @@ impl AuditShared {
             last_overlap10: F64Cell::new(1.0),
             last_overlap50: F64Cell::new(1.0),
             last_residual: F64Cell::new(0.0),
+            tick_p50: F64Cell::new(0.0),
+            tick_p99: F64Cell::new(0.0),
         }
     }
 }
@@ -258,7 +248,6 @@ impl SloEngine {
 pub(crate) fn spawn_observer(
     ctx: Arc<Ctx>,
     ctl_txs: Vec<mpsc::Sender<Control>>,
-    _cfg: &ServeConfig,
 ) -> io::Result<JoinHandle<()>> {
     thread::Builder::new()
         .name("dppr-observer".into())
@@ -290,7 +279,10 @@ fn observer_loop(ctx: &Ctx, ctl_txs: &[mpsc::Sender<Control>]) {
         let http = ctx.metrics.http_request.snapshot();
         let (p50, p99) = tick_percentiles(&prev_http, &http);
         prev_http = http;
-        push_series_row(ctx, p50, p99);
+        ctx.audit.tick_p50.set(p50);
+        ctx.audit.tick_p99.set(p99);
+        let at = ctx.start.elapsed().as_nanos() as u64;
+        ctx.series.push(at, crate::catalog::series_row(ctx));
         evaluate_slos(ctx);
     }
 }
@@ -309,28 +301,6 @@ fn tick_percentiles(prev: &HistSnapshot, cur: &HistSnapshot) -> (f64, f64) {
         return (0.0, 0.0);
     }
     (delta.p50() as f64 / 1e9, delta.p99() as f64 / 1e9)
-}
-
-fn push_series_row(ctx: &Ctx, p50: f64, p99: f64) {
-    let proc = ProcessStats::sample();
-    let at = ctx.start.elapsed().as_nanos() as u64;
-    // Column order must match SERIES_NAMES.
-    let values = vec![
-        ctx.conn.requests.load(Relaxed) as f64,
-        ctx.stats.queries.load(Relaxed) as f64,
-        ctx.stats.shed.load(Relaxed) as f64,
-        ctx.stats.slides.load(Relaxed) as f64,
-        ctx.epoch_min() as f64,
-        ctx.sessions_len() as f64,
-        p50,
-        p99,
-        ctx.audit.last_linf.get(),
-        ctx.audit.last_overlap10.get(),
-        proc.rss_bytes as f64,
-        proc.open_fds as f64,
-        proc.threads as f64,
-    ];
-    ctx.series.push(at, values);
 }
 
 // --- accuracy audit -------------------------------------------------------

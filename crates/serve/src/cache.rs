@@ -20,7 +20,7 @@ const SHARDS: usize = 16;
 
 /// A query, as a cache key component. `Threshold` stores the δ bit
 /// pattern so the key stays `Eq + Hash`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryKind {
     /// Top-k ranking.
     TopK(usize),

@@ -257,6 +257,12 @@ impl Response {
     ) -> Response {
         Response { status, body: body.into(), retry_after: None, content_type: Some(content_type) }
     }
+
+    /// `503` with `Retry-After: 1` and a JSON error body: the answer to
+    /// load the server sheds.
+    pub fn unavailable(msg: &str) -> Response {
+        Response { retry_after: Some(1), ..Response::new(503, crate::json::error_body(msg)) }
+    }
 }
 
 /// Renders a complete HTTP/1.1 response head + body into `out`.
@@ -424,13 +430,7 @@ mod tests {
         assert!(s.ends_with("\r\n\r\n{\"ok\":true}"), "{s}");
 
         let mut out = Vec::new();
-        let resp = Response {
-            status: 503,
-            body: r#"{"error":"behind"}"#.into(),
-            retry_after: Some(1),
-            content_type: None,
-        };
-        render_response(&mut out, &resp, false);
+        render_response(&mut out, &Response::unavailable("behind"), false);
         let s = String::from_utf8(out).unwrap();
         assert!(s.contains("HTTP/1.1 503 Service Unavailable\r\n"), "{s}");
         assert!(s.contains("Retry-After: 1\r\n"), "{s}");

@@ -42,6 +42,9 @@
 //!   records are truncated away).
 //! * [`signals`] — SIGTERM/SIGINT → graceful shutdown: drain in-flight
 //!   connections, flush the WAL, write a final checkpoint.
+//! * `catalog` — the metric catalog: every scalar the instance reports,
+//!   declared once with its Prometheus family, `/stats` / `/healthz` key
+//!   path and `/series` column; those four surfaces are rendered from it.
 //! * [`audit`] — the observer thread: online accuracy audits against a
 //!   sequential ground-truth solve (`dppr_audit_*`), the in-process
 //!   metrics time-series behind `GET /series`, and SLO burn-rate
@@ -52,6 +55,7 @@
 
 pub mod audit;
 pub mod cache;
+mod catalog;
 pub mod conn;
 pub mod durability;
 pub mod epoch;

@@ -1,39 +1,17 @@
-//! The serving instance's metric catalog and trace plumbing.
+//! The serving instance's histograms and trace plumbing.
 //!
 //! One [`ServerMetrics`] per instance owns the [`dppr_obs::Registry`]
 //! plus direct handles to every pipeline-stage histogram, so the write
-//! loop and the shard routers record without name lookups. Scrape-time
-//! values that already live elsewhere (`ServerStats`, `ConnCounters`,
-//! cache, engine counters) are rendered ad hoc by the `/metrics`
-//! handler — single source of truth, no double counting.
-//!
-//! Metric families (all prefixed `dppr_`):
-//!
-//! | family | kind | meaning |
-//! |---|---|---|
-//! | `dppr_http_request_seconds` | histogram | per-request parse+route+serialize |
-//! | `dppr_http_parse_seconds` | histogram | request-head parse |
-//! | `dppr_http_route_seconds` | histogram | endpoint dispatch + query execution |
-//! | `dppr_http_write_seconds` | histogram | response render into the socket buffer |
-//! | `dppr_slide_apply_seconds` | histogram | one window slide, WAL append → publish |
-//! | `dppr_push_wall_seconds` | histogram | engine `apply_batch` (push convergence) |
-//! | `dppr_push_iterations` | histogram | frontier iterations per slide |
-//! | `dppr_snapshot_publish_seconds` | histogram | per-session snapshot swap |
-//! | `dppr_wal_append_seconds` | histogram | WAL record append (excl. fsync policy) |
-//! | `dppr_wal_fsync_seconds` | histogram | device flush latency |
-//! | `dppr_checkpoint_seconds` | histogram | checkpoint serialization + rename |
-//! | `dppr_shard_connections{shard=…}` | gauge | live connections per shard |
-//! | `dppr_shard_queue_depth{shard=…}` | gauge | accept hand-off backlog per shard |
-//! | `dppr_audit_l1_error` | histogram | audited L1 error vs ground truth (×1e9 encoding) |
-//! | `dppr_audit_linf_error` | histogram | audited L∞ error — the ε contract (×1e9 encoding) |
-//! | `dppr_audit_topk_overlap{k=…}` | histogram | audited top-k overlap (×1e9 encoding) |
-//! | `dppr_audit_solve_seconds` | histogram | ground-truth solve per audited session |
-//! | `dppr_metrics_scrape_seconds` | histogram | `/metrics` render time (self-observation) |
-//!
-//! With `--write-shards N` each write loop additionally registers its own
-//! labelled stage family (`dppr_shard_slide_apply_seconds{write_shard=…}`
-//! and friends, see [`WriteShardStages`]); the unlabelled families above
-//! keep aggregating across all write shards.
+//! loop, the shard routers and the observer record without name
+//! lookups. The registry holds histograms only (the `*_seconds` stage
+//! latencies, `dppr_push_iterations`, the `dppr_audit_*` error
+//! distributions, and with several write shards the
+//! `{write_shard="i"}`-labelled stage families of [`WriteShardStages`]).
+//! Every scalar — counters, gauges, the per-shard and per-SLO families —
+//! is declared once in the metric catalog (`crate::catalog`), which
+//! reads each value where it already lives and renders it into
+//! `/metrics`, `/stats`, `/healthz` and `/series`. `/metrics` is the
+//! registry's exposition followed by the catalog's.
 
 use dppr_obs::{Histogram, Registry, Sampler, TraceRing, Unit};
 use std::sync::Arc;
@@ -88,122 +66,83 @@ pub struct WriteShardStages {
 impl ServerMetrics {
     pub fn new(trace_sample: u64, trace_capacity: usize) -> Self {
         let registry = Registry::new();
-        let http_request = registry.histogram(
-            "dppr_http_request_seconds",
-            "Request handling end to end: parse, route, serialize",
-            Unit::Nanos,
-        );
-        let http_parse = registry.histogram(
-            "dppr_http_parse_seconds",
-            "Request-head parse time",
-            Unit::Nanos,
-        );
-        let http_route = registry.histogram(
-            "dppr_http_route_seconds",
-            "Endpoint dispatch and query execution time",
-            Unit::Nanos,
-        );
-        let http_write = registry.histogram(
-            "dppr_http_write_seconds",
-            "Response render time into the connection buffer",
-            Unit::Nanos,
-        );
-        let slide_apply = registry.histogram(
-            "dppr_slide_apply_seconds",
-            "One window slide end to end: WAL append, engine apply, snapshot publish",
-            Unit::Nanos,
-        );
-        let push_wall = registry.histogram(
-            "dppr_push_wall_seconds",
-            "Engine apply_batch wall time (push convergence)",
-            Unit::Nanos,
-        );
-        let push_iterations = registry.histogram(
-            "dppr_push_iterations",
-            "Frontier iterations per slide until the push converged",
-            Unit::Raw,
-        );
-        let snapshot_publish = registry.histogram(
-            "dppr_snapshot_publish_seconds",
-            "Per-slide session snapshot publication time",
-            Unit::Nanos,
-        );
-        let wal_append = registry.histogram(
-            "dppr_wal_append_seconds",
-            "WAL record append time (framing + write, excluding fsync policy)",
-            Unit::Nanos,
-        );
-        let wal_fsync = registry.histogram(
-            "dppr_wal_fsync_seconds",
-            "WAL device-flush latency",
-            Unit::Nanos,
-        );
-        let checkpoint = registry.histogram(
-            "dppr_checkpoint_seconds",
-            "Checkpoint write duration (serialize, fsync, rename)",
-            Unit::Nanos,
-        );
+        let nanos = |name, help| registry.histogram(name, help, Unit::Nanos);
         // The audit error/overlap families reuse the nanos-unit bucket
         // layout as a natural-units encoding: values are recorded ×1e9,
         // so a rendered bound of 0.001 means an L1 error of 1e-3 (or an
         // overlap of 0.001). This keeps the log-scale buckets dense
         // exactly where ε-scale errors live.
-        let audit_l1 = registry.histogram(
-            "dppr_audit_l1_error",
-            "Audited L1 distance between published estimates and ground truth (recorded x1e9)",
-            Unit::Nanos,
-        );
-        let audit_linf = registry.histogram(
-            "dppr_audit_linf_error",
-            "Audited max per-vertex error vs ground truth; the paper's epsilon contract (recorded x1e9)",
-            Unit::Nanos,
-        );
-        let audit_overlap10 = registry.histogram_with_label(
-            "dppr_audit_topk_overlap",
-            "Audited top-k overlap between published and ground-truth rankings (recorded x1e9)",
-            Unit::Nanos,
-            "k",
-            "10",
-        );
-        let audit_overlap50 = registry.histogram_with_label(
-            "dppr_audit_topk_overlap",
-            "Audited top-k overlap between published and ground-truth rankings (recorded x1e9)",
-            Unit::Nanos,
-            "k",
-            "50",
-        );
-        let audit_solve = registry.histogram(
-            "dppr_audit_solve_seconds",
-            "Sequential ground-truth solve wall time per audited session",
-            Unit::Nanos,
-        );
-        let metrics_scrape = registry.histogram(
-            "dppr_metrics_scrape_seconds",
-            "Time spent rendering /metrics (visible from the next scrape)",
-            Unit::Nanos,
-        );
+        let overlap = |k| {
+            registry.histogram_with_label(
+                "dppr_audit_topk_overlap",
+                "Audited top-k overlap between published and ground-truth rankings (recorded x1e9)",
+                Unit::Nanos,
+                "k",
+                k,
+            )
+        };
         ServerMetrics {
-            registry,
-            http_request,
-            http_parse,
-            http_route,
-            http_write,
-            slide_apply,
-            push_wall,
-            push_iterations,
-            snapshot_publish,
-            wal_append,
-            wal_fsync,
-            checkpoint,
-            audit_l1,
-            audit_linf,
-            audit_overlap10,
-            audit_overlap50,
-            audit_solve,
-            metrics_scrape,
+            http_request: nanos(
+                "dppr_http_request_seconds",
+                "Request handling end to end: parse, route, serialize",
+            ),
+            http_parse: nanos("dppr_http_parse_seconds", "Request-head parse time"),
+            http_route: nanos(
+                "dppr_http_route_seconds",
+                "Endpoint dispatch and query execution time",
+            ),
+            http_write: nanos(
+                "dppr_http_write_seconds",
+                "Response render time into the connection buffer",
+            ),
+            slide_apply: nanos(
+                "dppr_slide_apply_seconds",
+                "One window slide end to end: WAL append, engine apply, snapshot publish",
+            ),
+            push_wall: nanos(
+                "dppr_push_wall_seconds",
+                "Engine apply_batch wall time (push convergence)",
+            ),
+            push_iterations: registry.histogram(
+                "dppr_push_iterations",
+                "Frontier iterations per slide until the push converged",
+                Unit::Raw,
+            ),
+            snapshot_publish: nanos(
+                "dppr_snapshot_publish_seconds",
+                "Per-slide session snapshot publication time",
+            ),
+            wal_append: nanos(
+                "dppr_wal_append_seconds",
+                "WAL record append time (framing + write, excluding fsync policy)",
+            ),
+            wal_fsync: nanos("dppr_wal_fsync_seconds", "WAL device-flush latency"),
+            checkpoint: nanos(
+                "dppr_checkpoint_seconds",
+                "Checkpoint write duration (serialize, fsync, rename)",
+            ),
+            audit_l1: nanos(
+                "dppr_audit_l1_error",
+                "Audited L1 distance between published estimates and ground truth (recorded x1e9)",
+            ),
+            audit_linf: nanos(
+                "dppr_audit_linf_error",
+                "Audited max per-vertex error vs ground truth; the paper's epsilon contract (recorded x1e9)",
+            ),
+            audit_overlap10: overlap("10"),
+            audit_overlap50: overlap("50"),
+            audit_solve: nanos(
+                "dppr_audit_solve_seconds",
+                "Sequential ground-truth solve wall time per audited session",
+            ),
+            metrics_scrape: nanos(
+                "dppr_metrics_scrape_seconds",
+                "Time spent rendering /metrics (visible from the next scrape)",
+            ),
             trace: TraceRing::new(trace_capacity),
             trace_requests: Sampler::new(trace_sample),
             trace_slides: Sampler::new(trace_sample),
+            registry,
         }
     }
 

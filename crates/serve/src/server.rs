@@ -27,6 +27,7 @@
 //! responses instead of an unbounded backlog.
 
 use crate::cache::{CacheStats, QueryCache, QueryKind};
+use crate::catalog;
 use crate::durability::{self, DurabilityConfig, RecoveryReport};
 use crate::epoch::{EpochDomain, Reader};
 use crate::event::{spawn_shard, ConnCounters, Router, ShardConfig, ShardGate, ShardHandle};
@@ -45,7 +46,7 @@ use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
-use std::sync::mpsc::{self, sync_channel, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, sync_channel, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -207,30 +208,17 @@ pub struct ServerStats {
     pub sessions_evicted: AtomicU64,
     /// Whether the update stream has been run dry.
     pub stream_done: AtomicBool,
-    /// Start-relative nanos (+1) of the slide currently being applied;
-    /// 0 while the write loop is idle/between slides. The shed check
-    /// reads this to see how long the published epoch has been stale.
-    pub slide_started_ns: AtomicU64,
-    /// Epoch of the newest durable checkpoint (0 with durability off).
-    pub durable_epoch: AtomicU64,
     /// Checkpoints written successfully (initial + periodic + final).
     pub checkpoints: AtomicU64,
     /// Checkpoint attempts that failed (serving continues; the WAL tail
     /// keeps growing until one succeeds).
     pub checkpoint_failures: AtomicU64,
-    /// Records appended to the WAL.
-    pub wal_records: AtomicU64,
-    /// Live WAL segment count (sealed + active).
-    pub wal_segments: AtomicU64,
     /// True once a WAL append failed: the write loop has stopped sliding
     /// and the instance serves read-only from the last published epoch.
     pub degraded: AtomicBool,
     /// Why the instance degraded to read-only (the WAL error text);
     /// `None` while healthy. Surfaced by `/healthz`.
     pub degraded_reason: Mutex<Option<String>>,
-    /// Start-relative nanos (+1) of the last successful WAL fsync; 0 if
-    /// none has completed yet. `/healthz` reports the age.
-    pub last_fsync_ns: AtomicU64,
 }
 
 impl ServerStats {
@@ -308,10 +296,10 @@ pub(crate) enum Control {
 }
 
 /// Everything one write shard owns: its epoch domain, session registry,
-/// query cache, and the per-shard view of the stats `/stats`, `/healthz`
-/// and `/metrics` merge across shards. The engine, graph, and WAL live
-/// on the shard's writer thread; the mutexed snapshots here are
-/// refreshed by that thread after every slide.
+/// query cache, and the per-shard values the metric catalog
+/// ([`crate::catalog`]) reads and merges across shards. The engine,
+/// graph, and WAL live on the shard's writer thread; the mutexed
+/// snapshots here are refreshed by that thread after every slide.
 pub(crate) struct WriteShardState {
     pub(crate) index: usize,
     pub(crate) domain: Arc<EpochDomain>,
@@ -330,9 +318,10 @@ pub(crate) struct WriteShardState {
     pub(crate) degraded_reason: Mutex<Option<String>>,
     /// Epoch of this shard's newest durable checkpoint.
     pub(crate) durable_epoch: AtomicU64,
-    /// Start-relative nanos (+1) of this shard's last WAL fsync.
+    /// Start-relative nanos (+1) of this shard's last WAL fsync; 0
+    /// until one completes.
     pub(crate) last_fsync_ns: AtomicU64,
-    pub(crate) wal_records: AtomicU64,
+    /// Live WAL segment count (sealed + active).
     pub(crate) wal_segments: AtomicU64,
     /// Engine push-work counters, refreshed per slide.
     pub(crate) engine: Mutex<CounterSnapshot>,
@@ -373,7 +362,7 @@ pub(crate) struct Ctx {
     /// Pipeline histograms, trace ring, and the metric registry.
     pub(crate) metrics: Arc<ServerMetrics>,
     /// Per-shard `(connections, queue_depth)` gauges, indexed by shard.
-    pub(crate) shard_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)>,
+    pub(crate) shard_gauges: Vec<(Gauge, Gauge)>,
     /// Total logical edges in the stream (constant per instance).
     pub(crate) stream_len: u64,
     /// Accuracy-audit scalars published by the observer thread.
@@ -418,12 +407,10 @@ impl Ctx {
         self.shards.iter().map(|s| s.domain.epoch()).min().unwrap_or(0)
     }
 
-    /// Re-derives the global durable epoch (min across shards) after any
-    /// shard checkpoints: the instance is only durable through an epoch
-    /// every shard has checkpointed or logged past.
-    pub(crate) fn refresh_durable_epoch(&self) {
-        let min = self.shards.iter().map(|s| s.durable_epoch.load(Relaxed)).min().unwrap_or(0);
-        self.stats.durable_epoch.store(min, Relaxed);
+    /// The instance-level durable epoch: an instance is only durable
+    /// through an epoch every shard has checkpointed.
+    pub(crate) fn durable_epoch(&self) -> u64 {
+        self.shards.iter().map(|s| s.durable_epoch.load(Relaxed)).min().unwrap_or(0)
     }
 
     /// Global stream-done flag: set once every shard ran its copy dry.
@@ -431,25 +418,6 @@ impl Ctx {
         if self.shards.iter().all(|s| s.stream_done.load(Relaxed)) {
             self.stats.stream_done.store(true, Relaxed);
         }
-    }
-
-    /// Re-derives the global WAL totals (sums) and the oldest-flush
-    /// marker after any shard appends or syncs.
-    pub(crate) fn refresh_wal_totals(&self) {
-        let mut records = 0;
-        let mut segments = 0;
-        let mut oldest = u64::MAX;
-        for s in &self.shards {
-            records += s.wal_records.load(Relaxed);
-            segments += s.wal_segments.load(Relaxed);
-            oldest = oldest.min(s.last_fsync_ns.load(Relaxed));
-        }
-        self.stats.wal_records.store(records, Relaxed);
-        self.stats.wal_segments.store(segments, Relaxed);
-        // The global marker is the *oldest* per-shard flush (largest
-        // age): conservative for the `/healthz` staleness report. Any
-        // shard that never flushed keeps the global marker at 0 (null).
-        self.stats.last_fsync_ns.store(if oldest == u64::MAX { 0 } else { oldest }, Relaxed);
     }
 
     /// Merged cache counters across every shard's query cache.
@@ -468,83 +436,72 @@ impl Ctx {
 /// A running serving instance. Dropping the handle without calling
 /// [`ServerHandle::join`] detaches the threads (they exit on shutdown).
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    write_shards: Vec<Arc<WriteShardState>>,
-    stats: Arc<ServerStats>,
-    conn: Arc<ConnCounters>,
+    ctx: Arc<Ctx>,
     acceptor: Option<JoinHandle<()>>,
     shards: Vec<ShardHandle>,
     writers: Vec<JoinHandle<()>>,
     recoveries: Vec<Option<RecoveryReport>>,
-    metrics: Arc<ServerMetrics>,
 }
 
 impl ServerHandle {
     /// The bound address (query it for the ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.ctx.addr
     }
 
     /// Live counters.
     pub fn stats(&self) -> &ServerStats {
-        &self.stats
+        &self.ctx.stats
     }
 
     /// Live connection-layer counters.
     pub fn conn_counters(&self) -> &ConnCounters {
-        &self.conn
+        &self.ctx.conn
     }
 
-    /// Write shard 0's query cache (the only one unsharded). Sharded
-    /// callers wanting totals should sum [`ServerHandle::shard_cache`]
-    /// stats across [`ServerHandle::write_shard_count`] shards.
+    /// Write shard 0's query cache (the only one unsharded; `/stats`
+    /// reports the totals across shards).
     pub fn cache(&self) -> &QueryCache {
-        &self.write_shards[0].cache
+        &self.ctx.shards[0].cache
     }
 
     /// Write shard 0's session registry (the only one unsharded).
     pub fn registry(&self) -> &SessionRegistry {
-        &self.write_shards[0].registry
+        &self.ctx.shards[0].registry
     }
 
     /// Independent write loops this instance runs (≥ 1).
     pub fn write_shard_count(&self) -> usize {
-        self.write_shards.len()
+        self.ctx.shards.len()
     }
 
     /// Write shard `i`'s session registry.
     pub fn shard_registry(&self, i: usize) -> &SessionRegistry {
-        &self.write_shards[i].registry
-    }
-
-    /// Write shard `i`'s query cache.
-    pub fn shard_cache(&self, i: usize) -> &QueryCache {
-        &self.write_shards[i].cache
+        &self.ctx.shards[i].registry
     }
 
     /// Write shard `i`'s published epoch.
     pub fn shard_epoch(&self, i: usize) -> u64 {
-        self.write_shards[i].domain.epoch()
+        self.ctx.shards[i].domain.epoch()
     }
 
     /// The instance's metric registry and pipeline histograms (what
     /// `GET /metrics` renders) — report generators read percentiles
     /// straight from here.
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
+        &self.ctx.metrics
     }
 
     /// The buffered trace events as JSON lines (what `GET /trace`
     /// serves); empty when tracing is off.
     pub fn trace_dump(&self) -> String {
-        self.metrics.trace.dump()
+        self.ctx.metrics.trace.dump()
     }
 
     /// Current epoch: the minimum across write shards (every session is
     /// served at least this fresh).
     pub fn epoch(&self) -> u64 {
-        self.write_shards.iter().map(|s| s.domain.epoch()).min().unwrap_or(0)
+        self.ctx.epoch_min()
     }
 
     /// What recovery did at startup for write shard 0, if this instance
@@ -561,14 +518,14 @@ impl ServerHandle {
 
     /// Whether shutdown has been requested (flag or `POST /shutdown`).
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(SeqCst)
+        self.ctx.shutdown.load(SeqCst)
     }
 
     /// Requests shutdown and wakes the acceptor and every shard.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, SeqCst);
+        self.ctx.shutdown.store(true, SeqCst);
         // Unblock the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
+        let _ = TcpStream::connect(self.ctx.addr);
         for s in &self.shards {
             s.wake();
         }
@@ -586,29 +543,27 @@ impl ServerHandle {
         for h in self.writers.drain(..) {
             let _ = h.join();
         }
+        let (ctx, stats, conn) = (&self.ctx, &self.ctx.stats, &self.ctx.conn);
         ServeReport {
-            epoch: self.write_shards.iter().map(|s| s.domain.epoch()).min().unwrap_or(0),
-            slides: self.stats.slides.load(Relaxed),
-            updates_offered: self.stats.updates_offered.load(Relaxed),
-            updates_applied: self.stats.updates_applied.load(Relaxed),
-            updates_per_sec: self.stats.updates_per_sec(),
-            queries: self.stats.queries.load(Relaxed),
-            http_requests: self.conn.requests.load(Relaxed),
-            connections: self.conn.accepted.load(Relaxed),
-            bad_requests: self.conn.bad_requests.load(Relaxed),
-            read_timeouts: self.conn.read_timeouts.load(Relaxed),
-            write_timeouts: self.conn.write_timeouts.load(Relaxed),
-            shed: self.stats.shed.load(Relaxed),
-            cache: self
-                .write_shards
-                .iter()
-                .fold(CacheStats::default(), |acc, s| acc.merge(&s.cache.stats())),
-            sessions: self.write_shards.iter().map(|s| s.registry.len()).sum(),
-            stream_done: self.stats.stream_done.load(Relaxed),
-            degraded: self.stats.degraded.load(Relaxed),
-            durable_epoch: self.stats.durable_epoch.load(Relaxed),
-            checkpoints: self.stats.checkpoints.load(Relaxed),
-            write_shards: self.write_shards.len(),
+            epoch: ctx.epoch_min(),
+            slides: stats.slides.load(Relaxed),
+            updates_offered: stats.updates_offered.load(Relaxed),
+            updates_applied: stats.updates_applied.load(Relaxed),
+            updates_per_sec: stats.updates_per_sec(),
+            queries: stats.queries.load(Relaxed),
+            http_requests: conn.requests.load(Relaxed),
+            connections: conn.accepted.load(Relaxed),
+            bad_requests: conn.bad_requests.load(Relaxed),
+            read_timeouts: conn.read_timeouts.load(Relaxed),
+            write_timeouts: conn.write_timeouts.load(Relaxed),
+            shed: stats.shed.load(Relaxed),
+            cache: ctx.cache_stats(),
+            sessions: ctx.sessions_len(),
+            stream_done: stats.stream_done.load(Relaxed),
+            degraded: stats.degraded.load(Relaxed),
+            durable_epoch: ctx.durable_epoch(),
+            checkpoints: stats.checkpoints.load(Relaxed),
+            write_shards: ctx.shards.len(),
         }
     }
 }
@@ -716,7 +671,6 @@ pub fn start(
             degraded_reason: Mutex::new(None),
             durable_epoch: AtomicU64::new(boot.durable_epoch),
             last_fsync_ns: AtomicU64::new(0),
-            wal_records: AtomicU64::new(0),
             wal_segments: AtomicU64::new(0),
             engine: Mutex::new(boot.multi.counters().snapshot()),
             graph: Mutex::new(boot.driver.graph().substrate_stats()),
@@ -729,32 +683,10 @@ pub fn start(
         dcfgs.push(dcfg);
         boots.push(boot);
     }
-    if cfg.durability.is_some() {
-        let min = shard_states.iter().map(|s| s.durable_epoch.load(Relaxed)).min().unwrap_or(0);
-        stats.durable_epoch.store(min, Relaxed);
-    }
-
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
     let addr = listener.local_addr()?;
 
-    let shard_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)> = (0..threads)
-        .map(|w| {
-            (
-                metrics.registry.gauge_with_label(
-                    "dppr_shard_connections",
-                    "Live connections owned by the shard",
-                    "shard",
-                    w.to_string(),
-                ),
-                metrics.registry.gauge_with_label(
-                    "dppr_shard_queue_depth",
-                    "Accepted connections awaiting adoption by the shard",
-                    "shard",
-                    w.to_string(),
-                ),
-            )
-        })
-        .collect();
+    let shard_gauges = (0..threads).map(|_| Default::default()).collect();
     let stream_len = boots[0].driver.stream_len() as u64;
     let ctx = Arc::new(Ctx {
         shards: shard_states.clone(),
@@ -812,14 +744,11 @@ pub fn start(
     let mut shards = Vec::with_capacity(threads);
     let mut gates: Vec<ShardGate> = Vec::with_capacity(threads);
     for w in 0..threads {
-        let (conn_gauge, depth_gauge) = ctx.shard_gauges[w].clone();
         let router = RouterImpl {
             ctx: Arc::clone(&ctx),
             readers: shard_states.iter().map(|s| s.domain.register_reader()).collect(),
             ctl_txs: ctl_txs.clone(),
             shard: w,
-            conn_gauge,
-            depth_gauge,
             local_request: LocalHistogram::new(),
             local_parse: LocalHistogram::new(),
             local_route: LocalHistogram::new(),
@@ -843,7 +772,7 @@ pub fn start(
     // SLO burn rates every tick; the (optional) accuracy audit rides the
     // same ticker. It keeps its own control handles so audit probes can
     // reach the write loops.
-    writers.push(crate::audit::spawn_observer(Arc::clone(&ctx), ctl_txs.clone(), &cfg)?);
+    writers.push(crate::audit::spawn_observer(Arc::clone(&ctx), ctl_txs.clone())?);
     drop(ctl_txs);
 
     // --- acceptor ---------------------------------------------------------
@@ -894,18 +823,7 @@ pub fn start(
             })?
     };
 
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        write_shards: shard_states,
-        stats,
-        conn: conn_counters,
-        acceptor: Some(acceptor),
-        shards,
-        writers,
-        recoveries,
-        metrics,
-    })
+    Ok(ServerHandle { ctx, acceptor: Some(acceptor), shards, writers, recoveries })
 }
 
 /// What bootstrapping produced, durable or not.
@@ -1218,7 +1136,6 @@ fn spawn_durable(
                             let _ = durability::prune_checkpoints(&data_dir, job.epoch);
                             durable.store(job.epoch, Relaxed);
                             shard.durable_epoch.store(job.epoch, Relaxed);
-                            ctx.refresh_durable_epoch();
                             ctx.stats.checkpoints.fetch_add(1, Relaxed);
                         }
                         Err(e) => {
@@ -1247,8 +1164,7 @@ fn spawn_durable(
 
 /// Publishes one shard's fresh WAL counters after appends/syncs: fsync
 /// latency from the `sync_nanos` delta, the last-fsync timestamp for
-/// `/healthz`, and the raw stats for `/stats` and `/metrics`. The global
-/// totals (sums across shards) are re-derived afterwards.
+/// `/healthz`, and the raw stats the metric catalog reads.
 fn note_wal(d: &mut DurableState, ctx: &Ctx, shard: &WriteShardState) {
     let s = d.wal.stats();
     let syncs = s.syncs - d.seen.syncs;
@@ -1261,11 +1177,9 @@ fn note_wal(d: &mut DurableState, ctx: &Ctx, shard: &WriteShardState) {
             .last_fsync_ns
             .store(ctx.start.elapsed().as_nanos() as u64 + 1, Relaxed);
     }
-    shard.wal_records.store(s.appends, Relaxed);
     shard.wal_segments.store(d.wal.segment_count() as u64, Relaxed);
     *shard.wal.lock().unwrap() = s;
     d.seen = s;
-    ctx.refresh_wal_totals();
 }
 
 /// Records why a write shard degraded to read-only (shown by
@@ -1290,16 +1204,7 @@ fn mark_degraded(ctx: &Ctx, shard: &WriteShardState, reason: String) {
 /// (best-effort, non-blocking) and drops it.
 fn shed_at_door(conn: TcpStream) {
     let mut out = Vec::with_capacity(160);
-    render_response(
-        &mut out,
-        &Response {
-            status: 503,
-            body: error_body("server is at connection capacity").into(),
-            retry_after: Some(1),
-            content_type: None,
-        },
-        false,
-    );
+    render_response(&mut out, &Response::unavailable("server is at connection capacity"), false);
     let _ = conn.set_nonblocking(true);
     let _ = (&conn).write(&out);
 }
@@ -1544,7 +1449,6 @@ fn finalize_durable(
             shard.stage.checkpoint.record(ns);
             let _ = durability::prune_checkpoints(&d.cfg.data_dir, epoch);
             shard.durable_epoch.store(epoch, Relaxed);
-            ctx.refresh_durable_epoch();
             ctx.stats.checkpoints.fetch_add(1, Relaxed);
             let _ = d
                 .wal
@@ -1636,8 +1540,6 @@ struct RouterImpl {
     readers: Vec<Reader>,
     ctl_txs: Vec<mpsc::Sender<Control>>,
     shard: usize,
-    conn_gauge: Arc<Gauge>,
-    depth_gauge: Arc<Gauge>,
     local_request: LocalHistogram,
     local_parse: LocalHistogram,
     local_route: LocalHistogram,
@@ -1686,40 +1588,26 @@ impl Router for RouterImpl {
         self.local_parse.flush(&m.http_parse);
         self.local_route.flush(&m.http_route);
         self.local_write.flush(&m.http_write);
-        self.conn_gauge.set(live_conns as i64);
-        self.depth_gauge.set(queue_depth as i64);
+        let (conns, depth) = &self.ctx.shard_gauges[self.shard];
+        conns.set(live_conns as i64);
+        depth.set(queue_depth as i64);
     }
 }
 
-fn push_bounded(j: &mut JsonBuf, b: &BoundedScore) {
-    j.begin_obj();
-    j.key("vertex").uint(b.vertex as u64);
-    j.key("estimate").num(b.estimate);
-    j.key("lo").num(b.lo);
-    j.key("hi").num(b.hi);
-    j.end_obj();
-}
-
-/// Resolves a `source=` query parameter to its write shard and loads the
-/// published snapshot: the 503 shed gate (that shard lagging) and the
-/// 404 (no session) travel in the inner `Err`.
-fn snapshot_for(
-    req: &Request,
+/// Loads `source`'s published snapshot from its write shard `ws`, or
+/// the 404 naming the missing session.
+fn session(
     ctx: &Ctx,
     readers: &[Reader],
-) -> Result<Result<(Arc<QuerySnapshot>, usize), Response>, String> {
-    let source: VertexId = req.require("source")?;
-    let ws = shard_of(source, ctx.shards.len());
-    if let Some(shed) = shed_check(ctx, ws) {
-        return Ok(Err(shed));
+    source: VertexId,
+    ws: usize,
+) -> Result<Arc<QuerySnapshot>, Response> {
+    match ctx.shards[ws].registry.lookup(source) {
+        Some(entry) => Ok(entry.load(&readers[ws])),
+        None => {
+            Err(Response::new(404, error_body(&format!("no open session for source {source}"))))
+        }
     }
-    Ok(match ctx.shards[ws].registry.lookup(source) {
-        Some(entry) => Ok((entry.load(&readers[ws]), ws)),
-        None => Err(Response::new(
-            404,
-            error_body(&format!("no open session for source {source}")),
-        )),
-    })
 }
 
 /// Load-shedding gate for the query endpoints: while write shard `ws`
@@ -1730,992 +1618,312 @@ fn snapshot_for(
 fn shed_check(ctx: &Ctx, ws: usize) -> Option<Response> {
     // A fast-window latency SLO breach sheds globally: the error budget
     // is burning now, and queries are the load we can refuse.
-    if ctx.slo.shed.load(Relaxed) {
-        ctx.stats.shed.fetch_add(1, Relaxed);
-        return Some(Response {
-            status: 503,
-            body: error_body("latency SLO fast burn; shedding load").into(),
-            retry_after: Some(1),
-            content_type: None,
-        });
-    }
-    if !ctx.lagging(&ctx.shards[ws]) {
+    let reason = if ctx.slo.shed.load(Relaxed) {
+        "latency SLO fast burn; shedding load"
+    } else if ctx.lagging(&ctx.shards[ws]) {
+        "write loop is behind; retry shortly"
+    } else {
         return None;
-    }
+    };
     ctx.stats.shed.fetch_add(1, Relaxed);
-    Some(Response {
-        status: 503,
-        body: error_body("write loop is behind; retry shortly").into(),
-        retry_after: Some(1),
-        content_type: None,
-    })
+    Some(Response::unavailable(reason))
 }
 
-/// Routes a request to a [`Response`]. Bodies travel as `Arc<str>` so a
-/// cache hit is returned without copying the rendered JSON.
+/// Routes a request to a [`Response`], one call per endpoint. Bodies
+/// travel as `Arc<str>` so a cache hit is returned without copying the
+/// rendered JSON.
 fn route(
     req: &Request,
     ctx: &Ctx,
     readers: &[Reader],
-    ctl_txs: &[mpsc::Sender<Control>],
+    ctl_txs: &[Sender<Control>],
 ) -> Result<Response, String> {
     match req.path.as_str() {
-        "/healthz" => {
-            let wal_degraded = ctx.stats.degraded.load(Relaxed);
-            let slo_breaching = ctx.slo.any_breaching();
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("ok").bool(true);
-            j.key("epoch").uint(ctx.epoch_min());
-            j.key("degraded").bool(wal_degraded || slo_breaching);
-            // Why the instance is degraded (null while healthy): a WAL
-            // failure (read-only serving) wins over an SLO burn.
-            j.key("degraded_reason");
-            let wal_reason = ctx.stats.degraded_reason.lock().unwrap().as_deref().map(String::from);
-            match wal_reason.or_else(|| ctx.slo.breach_reason()).as_deref() {
-                Some(reason) => j.str(reason),
-                None => j.null(),
-            };
-            // Per-SLO burn-rate detail (empty array with no targets).
-            j.key("slos").begin_arr();
-            for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
-                j.begin_obj();
-                j.key("name").str(spec.name);
-                j.key("target").num(spec.target);
-                j.key("burn_fast").num(st.burn_fast.get());
-                j.key("burn_slow").num(st.burn_slow.get());
-                j.key("breaching").bool(st.breaching.load(Relaxed));
-                j.key("breaches_total").uint(st.breaches.load(Relaxed));
-                j.end_obj();
-            }
-            j.end_arr();
-            j.key("last_fsync_age_seconds");
-            match ctx.stats.last_fsync_ns.load(Relaxed) {
-                0 => j.null(),
-                marker => {
-                    let age =
-                        (ctx.start.elapsed().as_nanos() as u64).saturating_sub(marker - 1);
-                    j.num(age as f64 / 1e9)
-                }
-            };
-            j.key("lagging").bool(ctx.any_lagging());
-            j.key("write_shards").begin_arr();
-            for s in &ctx.shards {
-                j.begin_obj();
-                j.key("shard").uint(s.index as u64);
-                j.key("epoch").uint(s.domain.epoch());
-                j.key("degraded").bool(s.degraded.load(Relaxed));
-                j.key("stream_done").bool(s.stream_done.load(Relaxed));
-                j.key("lag_seconds");
-                match ctx.slide_in_flight(s) {
-                    Some(d) => j.num(d.as_secs_f64()),
-                    None => j.num(0.0),
-                };
-                j.end_obj();
-            }
-            j.end_arr();
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/metrics" => {
-            // Self-observation: time the render and count families. The
-            // duration lands in a registered histogram, so it shows up
-            // on the *next* scrape — acceptable for a gauge of scrape
-            // cost, and it keeps this scrape's text consistent.
-            let t = Instant::now();
-            let mut text = render_metrics(ctx);
-            let families = text.matches("# TYPE ").count() as u64 + 1;
-            let mut tail = PromText::new();
-            tail.gauge_u64(
-                "dppr_metrics_families",
-                "Metric families in this exposition (including this one)",
-                families,
-            );
-            text.push_str(tail.as_str());
-            ctx.metrics.metrics_scrape.record(t.elapsed().as_nanos() as u64);
-            Ok(Response::with_content_type(200, PROMETHEUS_CONTENT_TYPE, text))
-        }
-        "/trace" => {
-            let limit: usize = req.parsed_or("limit", usize::MAX)?;
-            let body = match req.param("kind") {
-                None => ctx.metrics.trace.dump_with(limit, |_| true),
-                Some("request") => ctx
-                    .metrics
-                    .trace
-                    .dump_with(limit, |l| l.contains("\"event\":\"request\"")),
-                Some("slide") => ctx
-                    .metrics
-                    .trace
-                    .dump_with(limit, |l| l.contains("\"event\":\"slide\"")),
-                Some(other) => {
-                    return Err(format!("unknown trace kind {other:?} (request|slide)"))
-                }
-            };
-            Ok(Response::with_content_type(200, "application/x-ndjson", body))
-        }
-        "/series" => {
-            let interval_ms = ctx.audit_interval.as_secs_f64() * 1e3;
-            match req.param("name") {
-                None => {
-                    // Catalog: the column set plus sampling geometry.
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("interval_ms").num(interval_ms);
-                    j.key("samples").uint(ctx.series.len() as u64);
-                    j.key("names").begin_arr();
-                    for name in ctx.series.names() {
-                        j.str(name);
-                    }
-                    j.end_arr();
-                    j.end_obj();
-                    Ok(Response::new(200, j.finish()))
-                }
-                Some(name) => {
-                    let window_s: f64 = req.parsed_finite_or("window", 60.0)?;
-                    let window_nanos = (window_s.max(0.0) * 1e9) as u64;
-                    let Some(w) = ctx.series.window(name, window_nanos) else {
-                        return Ok(Response::new(
-                            404,
-                            error_body(&format!("unknown series {name}")),
-                        ));
-                    };
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("name").str(name);
-                    j.key("window_seconds").num(window_s);
-                    j.key("interval_ms").num(interval_ms);
-                    j.key("last").num(w.last);
-                    j.key("min").num(w.min);
-                    j.key("max").num(w.max);
-                    j.key("avg").num(w.avg);
-                    j.key("rate_per_sec").num(w.rate_per_sec);
-                    j.key("points").begin_arr();
-                    for (at, v) in &w.points {
-                        j.begin_arr();
-                        j.num(*at as f64 / 1e9);
-                        j.num(*v);
-                        j.end_arr();
-                    }
-                    j.end_arr();
-                    j.end_obj();
-                    Ok(Response::new(200, j.finish()))
-                }
-            }
-        }
-        "/topk" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            let k: usize = req.parsed_or("k", 10)?;
-            let (snap, ws) = match snapshot_for(req, ctx, readers)? {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (body, _) = ctx.shards[ws].cache.get_or_render(
-                snap.source(),
-                QueryKind::TopK(k),
-                snap.epoch(),
-                || {
-                    let ans = snap.top_k(k);
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("source").uint(snap.source() as u64);
-                    j.key("epoch").uint(snap.epoch());
-                    j.key("epsilon").num(snap.epsilon());
-                    j.key("k").uint(k as u64);
-                    j.key("set_is_certain").bool(ans.set_is_certain);
-                    j.key("ranking").begin_arr();
-                    for b in &ans.ranking {
-                        push_bounded(&mut j, b);
-                    }
-                    j.end_arr();
-                    j.end_obj();
-                    j.finish()
-                },
-            );
-            Ok(Response::new(200, body))
-        }
-        "/score" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            let v: VertexId = req.require("v")?;
-            let (snap, ws) = match snapshot_for(req, ctx, readers)? {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (body, _) = ctx.shards[ws].cache.get_or_render(
-                snap.source(),
-                QueryKind::Score(v),
-                snap.epoch(),
-                || {
-                    let b = snap.score(v);
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("source").uint(snap.source() as u64);
-                    j.key("epoch").uint(snap.epoch());
-                    j.key("epsilon").num(snap.epsilon());
-                    j.key("vertex").uint(v as u64);
-                    j.key("estimate").num(b.estimate);
-                    j.key("lo").num(b.lo);
-                    j.key("hi").num(b.hi);
-                    j.end_obj();
-                    j.finish()
-                },
-            );
-            Ok(Response::new(200, body))
-        }
-        "/threshold" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            // Finite by construction: NaN would make every comparison
-            // false and silently return an empty answer.
-            let delta: f64 = req.require_finite("delta")?;
-            let (snap, ws) = match snapshot_for(req, ctx, readers)? {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (body, _) = ctx.shards[ws].cache.get_or_render(
-                snap.source(),
-                QueryKind::Threshold(delta.to_bits()),
-                snap.epoch(),
-                || {
-                    let ans = snap.above_threshold(delta);
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("source").uint(snap.source() as u64);
-                    j.key("epoch").uint(snap.epoch());
-                    j.key("delta").num(delta);
-                    j.key("certain").begin_arr();
-                    for b in &ans.certain {
-                        push_bounded(&mut j, b);
-                    }
-                    j.end_arr();
-                    j.key("possible").begin_arr();
-                    for b in &ans.possible {
-                        push_bounded(&mut j, b);
-                    }
-                    j.end_arr();
-                    j.end_obj();
-                    j.finish()
-                },
-            );
-            Ok(Response::new(200, body))
-        }
+        "/healthz" => Ok(Response::new(200, catalog::render_json(ctx, catalog::HEALTHZ))),
+        "/stats" => Ok(Response::new(200, catalog::render_json(ctx, catalog::STATS))),
+        "/metrics" => Ok(metrics(ctx)),
+        "/series" => series(req, ctx),
+        "/trace" => trace(req, ctx),
+        "/topk" => query(req, ctx, readers, |r| Ok(QueryKind::TopK(r.parsed_or("k", 10)?))),
+        "/score" => query(req, ctx, readers, |r| Ok(QueryKind::Score(r.require("v")?))),
+        "/threshold" => query(req, ctx, readers, |r| Ok(QueryKind::Threshold(finite_delta(r)?))),
         "/compare" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            let a: VertexId = req.require("a")?;
-            let b: VertexId = req.require("b")?;
-            let (snap, ws) = match snapshot_for(req, ctx, readers)? {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (body, _) = ctx.shards[ws].cache.get_or_render(
-                snap.source(),
-                QueryKind::Compare(a, b),
-                snap.epoch(),
-                || {
-                    let order = match snap.compare(a, b) {
-                        Some(std::cmp::Ordering::Greater) => "greater",
-                        Some(std::cmp::Ordering::Less) => "less",
-                        Some(std::cmp::Ordering::Equal) => "equal",
-                        None => "undecidable",
-                    };
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("source").uint(snap.source() as u64);
-                    j.key("epoch").uint(snap.epoch());
-                    j.key("a").uint(a as u64);
-                    j.key("b").uint(b as u64);
-                    j.key("order").str(order);
-                    j.end_obj();
-                    j.finish()
-                },
-            );
-            Ok(Response::new(200, body))
+            query(req, ctx, readers, |r| Ok(QueryKind::Compare(r.require("a")?, r.require("b")?)))
         }
-        // Cross-shard comparison: which of two *sessions* ranks vertex
-        // `v` higher. The per-session `/compare` never leaves one
-        // engine; this one loads both sessions' snapshots — potentially
-        // owned by different write shards at different epochs — and
-        // interval-compares their estimates. Not cached: the composite
-        // key spans two epoch lines.
-        "/compare_sessions" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            let a: VertexId = req.require("a")?;
-            let b: VertexId = req.require("b")?;
-            let v: VertexId = req.require("v")?;
-            let n = ctx.shards.len();
-            let (wa, wb) = (shard_of(a, n), shard_of(b, n));
-            if let Some(shed) = shed_check(ctx, wa).or_else(|| shed_check(ctx, wb)) {
-                return Ok(shed);
-            }
-            let load = |source: VertexId, ws: usize| {
-                ctx.shards[ws].registry.lookup(source).map(|e| e.load(&readers[ws])).ok_or_else(
-                    || {
-                        Response::new(
-                            404,
-                            error_body(&format!("no open session for source {source}")),
-                        )
-                    },
-                )
-            };
-            let sa = match load(a, wa) {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let sb = match load(b, wb) {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (ba, bb) = (sa.score(v), sb.score(v));
-            // Certain only when the ε-intervals are disjoint, same as
-            // the in-session compare semantics.
-            let order = if ba.lo > bb.hi {
-                "greater"
-            } else if ba.hi < bb.lo {
-                "less"
-            } else {
-                "undecidable"
-            };
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("a").uint(a as u64);
-            j.key("b").uint(b as u64);
-            j.key("v").uint(v as u64);
-            j.key("epoch_a").uint(sa.epoch());
-            j.key("epoch_b").uint(sb.epoch());
-            j.key("estimate_a").num(ba.estimate);
-            j.key("estimate_b").num(bb.estimate);
-            j.key("order").str(order);
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/sessions" => {
-            // The flat `sessions` array stays merged-and-sorted across
-            // shards (the unsharded wire shape); the per-shard blocks
-            // expose the partition.
-            let mut all: Vec<VertexId> = Vec::new();
-            for s in &ctx.shards {
-                all.extend(s.registry.sources());
-            }
-            all.sort_unstable();
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("capacity")
-                .uint(ctx.shards.iter().map(|s| s.registry.capacity() as u64).sum());
-            j.key("sessions").begin_arr();
-            for s in all {
-                j.uint(s as u64);
-            }
-            j.end_arr();
-            j.key("write_shards").begin_arr();
-            for s in &ctx.shards {
-                j.begin_obj();
-                j.key("shard").uint(s.index as u64);
-                j.key("capacity").uint(s.registry.capacity() as u64);
-                j.key("sessions").begin_arr();
-                for src in s.registry.sources() {
-                    j.uint(src as u64);
-                }
-                j.end_arr();
-                j.end_obj();
-            }
-            j.end_arr();
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/session/open" | "/session/close" => {
-            let source: VertexId = req.require("source")?;
-            let open = req.path == "/session/open";
-            if open && source as usize >= ctx.vertex_bound {
-                return Err(format!(
-                    "source {source} is outside the graph's vertex bound {}",
-                    ctx.vertex_bound
-                ));
-            }
-            let ctl = if open {
-                Control::Open(source)
-            } else {
-                Control::Close(source)
-            };
-            // Applied by the owning shard's write loop between batches;
-            // the response acknowledges acceptance, not completion.
-            let ws = shard_of(source, ctx.shards.len());
-            let accepted = ctl_txs[ws].send(ctl).is_ok();
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("accepted").bool(accepted);
-            j.key(if open { "opening" } else { "closing" }).uint(source as u64);
-            j.key("write_shard").uint(ws as u64);
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/stats" => {
-            let cache = ctx.cache_stats();
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("epoch").uint(ctx.epoch_min());
-            j.key("slides").uint(ctx.stats.slides.load(Relaxed));
-            j.key("updates_offered").uint(ctx.stats.updates_offered.load(Relaxed));
-            j.key("updates_applied").uint(ctx.stats.updates_applied.load(Relaxed));
-            j.key("updates_per_sec").num(ctx.stats.updates_per_sec());
-            j.key("stream_done").bool(ctx.stats.stream_done.load(Relaxed));
-            j.key("queries").uint(ctx.stats.queries.load(Relaxed));
-            j.key("shed").uint(ctx.stats.shed.load(Relaxed));
-            j.key("sessions").uint(ctx.sessions_len() as u64);
-            j.key("sessions_opened").uint(ctx.stats.sessions_opened.load(Relaxed));
-            j.key("sessions_closed").uint(ctx.stats.sessions_closed.load(Relaxed));
-            j.key("sessions_evicted").uint(ctx.stats.sessions_evicted.load(Relaxed));
-            j.key("http").begin_obj();
-            j.key("connections").uint(ctx.conn.accepted.load(Relaxed));
-            j.key("requests").uint(ctx.conn.requests.load(Relaxed));
-            j.key("bad_requests").uint(ctx.conn.bad_requests.load(Relaxed));
-            j.key("read_timeouts").uint(ctx.conn.read_timeouts.load(Relaxed));
-            j.key("write_timeouts").uint(ctx.conn.write_timeouts.load(Relaxed));
-            j.end_obj();
-            j.key("cache").begin_obj();
-            j.key("hits").uint(cache.hits);
-            j.key("misses").uint(cache.misses);
-            j.key("evictions").uint(cache.evictions);
-            j.key("stale_purged").uint(cache.stale_purged);
-            j.key("hit_rate").num(cache.hit_rate());
-            j.end_obj();
-            j.key("durability").begin_obj();
-            j.key("enabled").bool(ctx.durability_enabled);
-            j.key("degraded").bool(ctx.stats.degraded.load(Relaxed));
-            j.key("durable_epoch").uint(ctx.stats.durable_epoch.load(Relaxed));
-            j.key("checkpoints").uint(ctx.stats.checkpoints.load(Relaxed));
-            j.key("checkpoint_failures")
-                .uint(ctx.stats.checkpoint_failures.load(Relaxed));
-            j.key("wal_records").uint(ctx.stats.wal_records.load(Relaxed));
-            j.key("wal_segments").uint(ctx.stats.wal_segments.load(Relaxed));
-            let wal = ctx.shards.iter().fold(WalStats::default(), |mut acc, s| {
-                let w = *s.wal.lock().unwrap();
-                acc.appends += w.appends;
-                acc.syncs += w.syncs;
-                acc.sync_nanos += w.sync_nanos;
-                acc.bytes_written += w.bytes_written;
-                acc.pruned_segments += w.pruned_segments;
-                acc
-            });
-            j.key("wal_syncs").uint(wal.syncs);
-            j.key("wal_bytes").uint(wal.bytes_written);
-            j.key("wal_pruned_segments").uint(wal.pruned_segments);
-            j.end_obj();
-            // Engine push-work counters, cumulative, summed across write
-            // shards (each refreshed by its own write loop per slide).
-            let engine = merged_engine_fields(ctx);
-            j.key("engine").begin_obj();
-            for (name, v) in engine {
-                j.key(name).uint(v);
-            }
-            j.end_obj();
-            // Every shard applies the identical stream, so the graphs
-            // are replicas — shard 0's occupancy stands for all.
-            let graph = *ctx.shards[0].graph.lock().unwrap();
-            j.key("graph").begin_obj();
-            j.key("arena_slots").uint(graph.arena_slots as u64);
-            j.key("live_slots").uint(graph.live_slots as u64);
-            j.key("dead_slots").uint(graph.dead_slots as u64);
-            j.key("hub_vertices").uint(graph.hub_vertices as u64);
-            j.key("utilization").num(graph.utilization());
-            j.end_obj();
-            // The stream block reports the *laggard* shard's window —
-            // the freshness floor every session is guaranteed.
-            let laggard = ctx
-                .shards
-                .iter()
-                .min_by_key(|s| s.window_end.load(Relaxed))
-                .expect("at least one write shard");
-            j.key("stream").begin_obj();
-            let end = laggard.window_end.load(Relaxed);
-            j.key("window_start").uint(laggard.window_start.load(Relaxed));
-            j.key("window_end").uint(end);
-            j.key("stream_len").uint(ctx.stream_len);
-            j.key("fraction_consumed").num(if ctx.stream_len == 0 {
-                1.0
-            } else {
-                end as f64 / ctx.stream_len as f64
-            });
-            j.end_obj();
-            j.key("write_shards").begin_arr();
-            for s in &ctx.shards {
-                let c = s.cache.stats();
-                j.begin_obj();
-                j.key("shard").uint(s.index as u64);
-                j.key("epoch").uint(s.domain.epoch());
-                j.key("slides").uint(s.slides.load(Relaxed));
-                j.key("sessions").uint(s.registry.len() as u64);
-                j.key("session_capacity").uint(s.registry.capacity() as u64);
-                j.key("stream_done").bool(s.stream_done.load(Relaxed));
-                j.key("degraded").bool(s.degraded.load(Relaxed));
-                j.key("durable_epoch").uint(s.durable_epoch.load(Relaxed));
-                j.key("wal_records").uint(s.wal_records.load(Relaxed));
-                j.key("wal_segments").uint(s.wal_segments.load(Relaxed));
-                j.key("window_start").uint(s.window_start.load(Relaxed));
-                j.key("window_end").uint(s.window_end.load(Relaxed));
-                j.key("cache").begin_obj();
-                j.key("hits").uint(c.hits);
-                j.key("misses").uint(c.misses);
-                j.key("evictions").uint(c.evictions);
-                j.key("stale_purged").uint(c.stale_purged);
-                j.end_obj();
-                j.end_obj();
-            }
-            j.end_arr();
-            j.key("shards").begin_arr();
-            for (conns, depth) in &ctx.shard_gauges {
-                j.begin_obj();
-                j.key("connections").uint(conns.get().max(0) as u64);
-                j.key("queue_depth").uint(depth.get().max(0) as u64);
-                j.end_obj();
-            }
-            j.end_arr();
-            // Stage-latency summaries out of the same histograms
-            // `/metrics` exposes (seconds at bucket resolution).
-            let m = &ctx.metrics;
-            j.key("timings").begin_obj();
-            for (name, h) in [
-                ("http_request", &m.http_request),
-                ("slide_apply", &m.slide_apply),
-                ("push_wall", &m.push_wall),
-                ("snapshot_publish", &m.snapshot_publish),
-                ("wal_append", &m.wal_append),
-                ("wal_fsync", &m.wal_fsync),
-                ("checkpoint", &m.checkpoint),
-            ] {
-                let s = h.snapshot();
-                j.key(name).begin_obj();
-                j.key("count").uint(s.count);
-                j.key("p50_s").num(s.p50() as f64 / 1e9);
-                j.key("p99_s").num(s.p99() as f64 / 1e9);
-                j.end_obj();
-            }
-            j.end_obj();
-            j.key("trace").begin_obj();
-            j.key("enabled").bool(m.trace_requests.enabled());
-            j.key("buffered").uint(m.trace.len() as u64);
-            j.key("dropped").uint(m.trace.dropped());
-            j.end_obj();
-            // Accuracy-audit scalars (zeros while auditing is off).
-            let a = &ctx.audit;
-            j.key("audit").begin_obj();
-            j.key("enabled").bool(a.enabled);
-            j.key("sample").uint(a.sample as u64);
-            j.key("runs").uint(a.runs.load(Relaxed));
-            j.key("sessions_audited").uint(a.sessions_audited.load(Relaxed));
-            j.key("bound_violations").uint(a.bound_violations.load(Relaxed));
-            j.key("cpu_seconds").num(a.cpu_nanos.load(Relaxed) as f64 / 1e9);
-            j.key("last_epoch").uint(a.last_epoch.load(Relaxed));
-            j.key("staleness_epochs").uint(a.staleness_epochs.load(Relaxed));
-            j.key("last_l1_error").num(a.last_l1.get());
-            j.key("last_linf_error").num(a.last_linf.get());
-            j.key("max_linf_error").num(a.max_linf.get());
-            j.key("last_topk_overlap_10").num(a.last_overlap10.get());
-            j.key("last_topk_overlap_50").num(a.last_overlap50.get());
-            j.key("last_invariant_residual").num(a.last_residual.get());
-            j.end_obj();
-            j.key("slos").begin_arr();
-            for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
-                j.begin_obj();
-                j.key("name").str(spec.name);
-                j.key("target").num(spec.target);
-                j.key("burn_fast").num(st.burn_fast.get());
-                j.key("burn_slow").num(st.burn_slow.get());
-                j.key("breaching").bool(st.breaching.load(Relaxed));
-                j.key("breaches_total").uint(st.breaches.load(Relaxed));
-                j.end_obj();
-            }
-            j.end_arr();
-            let proc = dppr_obs::ProcessStats::sample();
-            j.key("process").begin_obj();
-            j.key("rss_bytes").uint(proc.rss_bytes);
-            j.key("open_fds").uint(proc.open_fds);
-            j.key("threads").uint(proc.threads);
-            j.end_obj();
-            j.key("series").begin_obj();
-            j.key("interval_ms").num(ctx.audit_interval.as_secs_f64() * 1e3);
-            j.key("samples").uint(ctx.series.len() as u64);
-            j.end_obj();
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/shutdown" => {
-            ctx.shutdown.store(true, SeqCst);
-            // Wake the blocking accept so the acceptor can exit; shards
-            // notice the flag within their poll ceiling.
-            let _ = TcpStream::connect(ctx.addr);
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("shutting_down").bool(true);
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
+        "/compare_sessions" => compare_sessions(req, ctx, readers),
+        "/sessions" => Ok(sessions(ctx)),
+        "/session/open" | "/session/close" => session_control(req, ctx, ctl_txs),
+        "/shutdown" => Ok(shutdown(ctx)),
         other => Ok(Response::new(404, error_body(&format!("unknown endpoint {other}")))),
     }
 }
 
-/// Element-wise sum of every write shard's engine counters, in the
-/// stable [`CounterSnapshot::fields`] order.
-fn merged_engine_fields(ctx: &Ctx) -> [(&'static str, u64); 11] {
-    let mut acc = ctx.shards[0].engine.lock().unwrap().fields();
-    for s in &ctx.shards[1..] {
-        for (slot, (_, v)) in acc.iter_mut().zip(s.engine.lock().unwrap().fields()) {
-            slot.1 += v;
-        }
-    }
-    acc
+/// `/threshold`'s δ, finite by construction: NaN would make every
+/// comparison false and silently return an empty answer.
+fn finite_delta(req: &Request) -> Result<u64, String> {
+    Ok(req.require_finite("delta")?.to_bits())
 }
 
-/// Renders the full Prometheus exposition: the registered histogram and
-/// gauge families first, then every counter that already lives in
-/// `ServerStats` / `ConnCounters` / the caches / the engines, emitted at
-/// scrape time so nothing is double-counted. Cross-shard families keep
-/// their unsharded meaning (sums for counters, the freshness floor for
-/// epochs); the `dppr_write_shard_*` families expose each shard.
-fn render_metrics(ctx: &Ctx) -> String {
-    let stats = &ctx.stats;
-    let cache = ctx.cache_stats();
-    let mut extra = PromText::new();
-    extra.gauge_f64(
-        "dppr_uptime_seconds",
-        "Seconds since the instance started serving",
-        ctx.start.elapsed().as_secs_f64(),
-    );
-    extra.gauge_u64(
-        "dppr_epoch",
-        "Last published epoch (minimum across write shards)",
-        ctx.epoch_min(),
-    );
-    extra.counter_u64("dppr_slides_total", "Window slides applied", stats.slides.load(Relaxed));
-    extra.counter_u64(
-        "dppr_updates_offered_total",
-        "Updates handed to the engine (arcs)",
-        stats.updates_offered.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_updates_applied_total",
-        "Updates that changed the graph",
-        stats.updates_applied.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_queries_total",
-        "Query requests answered (any kind, any status)",
-        stats.queries.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_shed_total",
-        "Requests shed 503 under lag or connection pressure",
-        stats.shed.load(Relaxed),
-    );
-    extra.gauge_u64("dppr_sessions", "Open sessions", ctx.sessions_len() as u64);
-    extra.counter_u64(
-        "dppr_sessions_opened_total",
-        "Sessions opened over HTTP",
-        stats.sessions_opened.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_sessions_closed_total",
-        "Sessions closed over HTTP",
-        stats.sessions_closed.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_sessions_evicted_total",
-        "Sessions evicted by the LRU budget",
-        stats.sessions_evicted.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_connections_total",
-        "Connections adopted by the shards",
-        ctx.conn.accepted.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_requests_total",
-        "HTTP requests answered",
-        ctx.conn.requests.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_bad_requests_total",
-        "Malformed or oversized requests answered 400",
-        ctx.conn.bad_requests.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_read_timeouts_total",
-        "Connections reaped by the read deadline",
-        ctx.conn.read_timeouts.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_write_timeouts_total",
-        "Connections reaped by the write deadline",
-        ctx.conn.write_timeouts.load(Relaxed),
-    );
-    extra.counter_u64("dppr_cache_hits_total", "Query-cache hits", cache.hits);
-    extra.counter_u64("dppr_cache_misses_total", "Query-cache misses", cache.misses);
-    extra.counter_u64("dppr_cache_evictions_total", "Query-cache evictions", cache.evictions);
-    extra.counter_u64(
-        "dppr_cache_stale_purged_total",
-        "Dead-epoch cache entries purged at insert",
-        cache.stale_purged,
-    );
-    extra.gauge_f64(
-        "dppr_cache_hit_rate",
-        "Query-cache hit rate (0 before any lookup)",
-        cache.hit_rate(),
-    );
-    // Engine push-work counters (the paper's operation quantities),
-    // summed across write shards.
-    for (name, v) in merged_engine_fields(ctx) {
-        let fam = format!("dppr_engine_{name}_total");
-        extra.counter_u64(&fam, "Cumulative engine push-work counter", v);
+/// The one path of the four per-session queries: count the query, parse
+/// its parameters into a [`QueryKind`], pass the owning write shard's
+/// shed gate, load the session's published snapshot (or 404), then
+/// answer from the query cache or render and cache the answer.
+fn query(
+    req: &Request,
+    ctx: &Ctx,
+    readers: &[Reader],
+    parse: impl FnOnce(&Request) -> Result<QueryKind, String>,
+) -> Result<Response, String> {
+    ctx.stats.queries.fetch_add(1, Relaxed);
+    let kind = parse(req)?;
+    let source: VertexId = req.require("source")?;
+    let ws = shard_of(source, ctx.shards.len());
+    if let Some(shed) = shed_check(ctx, ws) {
+        return Ok(shed);
     }
-    let graph = *ctx.shards[0].graph.lock().unwrap();
-    extra.gauge_u64(
-        "dppr_graph_arena_slots",
-        "Adjacency-arena slots (live + slack + garbage)",
-        graph.arena_slots as u64,
-    );
-    extra.gauge_u64("dppr_graph_live_slots", "Live adjacency slots (2m)", graph.live_slots as u64);
-    extra.gauge_u64(
-        "dppr_graph_dead_slots",
-        "Garbage slots awaiting compaction",
-        graph.dead_slots as u64,
-    );
-    extra.gauge_u64(
-        "dppr_graph_hub_vertices",
-        "Vertices on the hash-membership (hub) path",
-        graph.hub_vertices as u64,
-    );
-    extra.gauge_f64("dppr_graph_utilization", "Live fraction of the arena", graph.utilization());
-    // The laggard shard's window: the freshness floor across sessions.
-    let laggard = ctx
-        .shards
-        .iter()
-        .min_by_key(|s| s.window_end.load(Relaxed))
-        .expect("at least one write shard");
-    let end = laggard.window_end.load(Relaxed);
-    extra.gauge_u64(
-        "dppr_stream_window_start",
-        "Window start (stream position)",
-        laggard.window_start.load(Relaxed),
-    );
-    extra.gauge_u64("dppr_stream_window_end", "Window end (stream position)", end);
-    extra.gauge_u64("dppr_stream_len", "Total logical edges in the stream", ctx.stream_len);
-    extra.gauge_f64(
-        "dppr_stream_fraction_consumed",
-        "Share of the stream that has arrived",
-        if ctx.stream_len == 0 { 1.0 } else { end as f64 / ctx.stream_len as f64 },
-    );
-    extra.gauge_u64(
-        "dppr_durability_enabled",
-        "1 when a WAL and checkpoints are configured",
-        ctx.durability_enabled as u64,
-    );
-    extra.gauge_u64(
-        "dppr_degraded",
-        "1 once a WAL failure forced read-only serving",
-        stats.degraded.load(Relaxed) as u64,
-    );
-    extra.gauge_u64(
-        "dppr_durable_epoch",
-        "Epoch of the newest durable checkpoint",
-        stats.durable_epoch.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_checkpoints_total",
-        "Checkpoints written successfully",
-        stats.checkpoints.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_checkpoint_failures_total",
-        "Checkpoint attempts that failed",
-        stats.checkpoint_failures.load(Relaxed),
-    );
-    let wal = ctx.shards.iter().fold(WalStats::default(), |mut acc, s| {
-        let w = *s.wal.lock().unwrap();
-        acc.appends += w.appends;
-        acc.syncs += w.syncs;
-        acc.sync_nanos += w.sync_nanos;
-        acc.bytes_written += w.bytes_written;
-        acc.pruned_segments += w.pruned_segments;
-        acc
-    });
-    extra.counter_u64("dppr_wal_records_total", "Records appended to the WAL", wal.appends);
-    extra.counter_u64("dppr_wal_syncs_total", "WAL device flushes issued", wal.syncs);
-    extra.counter_u64("dppr_wal_bytes_total", "WAL bytes written (payload + framing)", wal.bytes_written);
-    extra.counter_u64(
-        "dppr_wal_pruned_segments_total",
-        "WAL segments deleted by retention",
-        wal.pruned_segments,
-    );
-    extra.gauge_u64(
-        "dppr_wal_segments",
-        "Live WAL segments (sealed + active)",
-        stats.wal_segments.load(Relaxed),
-    );
-    // Accuracy-audit scalars (the error *distributions* are the
-    // registered dppr_audit_* histograms below).
-    let audit = &ctx.audit;
-    extra.gauge_u64(
-        "dppr_audit_enabled",
-        "1 when online accuracy auditing is configured",
-        audit.enabled as u64,
-    );
-    extra.counter_u64("dppr_audit_runs_total", "Audit ticks completed", audit.runs.load(Relaxed));
-    extra.counter_u64(
-        "dppr_audit_sessions_total",
-        "Sessions audited against ground truth",
-        audit.sessions_audited.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_audit_bound_violations_total",
-        "Audited sessions whose max error exceeded the epsilon contract",
-        audit.bound_violations.load(Relaxed),
-    );
-    extra.family(
-        "dppr_audit_cpu_seconds_total",
-        "Observer wall time spent auditing (clone-free side only)",
-        "counter",
-    );
-    extra.series_f64("dppr_audit_cpu_seconds_total", None, audit.cpu_nanos.load(Relaxed) as f64 / 1e9);
-    extra.gauge_u64(
-        "dppr_audit_last_epoch",
-        "Epoch of the newest completed audit",
-        audit.last_epoch.load(Relaxed),
-    );
-    extra.gauge_u64(
-        "dppr_audit_staleness_epochs",
-        "Shard epoch minus audited epoch at last report",
-        audit.staleness_epochs.load(Relaxed),
-    );
-    extra.gauge_f64(
-        "dppr_audit_last_linf_error",
-        "Max per-vertex error in the newest audit",
-        audit.last_linf.get(),
-    );
-    extra.gauge_f64(
-        "dppr_audit_max_linf_error",
-        "Largest per-vertex error ever audited",
-        audit.max_linf.get(),
-    );
-    extra.gauge_f64(
-        "dppr_audit_invariant_residual",
-        "Largest Eq. 2 invariant violation in the newest audit",
-        audit.last_residual.get(),
-    );
-    // SLO burn rates: one {slo,window} series per target and window.
-    if !ctx.slo.specs.is_empty() {
-        extra.family(
-            "dppr_slo_burn_rate",
-            "Error-budget burn rate per SLO and window (>= 1 on the fast window is a breach)",
-            "gauge",
-        );
-        for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
-            extra.series_f64_multi(
-                "dppr_slo_burn_rate",
-                &[("slo", spec.name), ("window", "fast")],
-                st.burn_fast.get(),
-            );
-            extra.series_f64_multi(
-                "dppr_slo_burn_rate",
-                &[("slo", spec.name), ("window", "slow")],
-                st.burn_slow.get(),
-            );
+    let snap = match session(ctx, readers, source, ws) {
+        Ok(s) => s,
+        Err(e) => return Ok(e),
+    };
+    let (body, _) = ctx.shards[ws]
+        .cache
+        .get_or_render(snap.source(), kind, snap.epoch(), || render_answer(&snap, kind));
+    Ok(Response::new(200, body))
+}
+
+/// The JSON answer to one per-session query.
+fn render_answer(snap: &QuerySnapshot, kind: QueryKind) -> String {
+    let mut j = JsonBuf::new();
+    j.begin_obj();
+    j.key("source").uint(snap.source() as u64);
+    j.key("epoch").uint(snap.epoch());
+    match kind {
+        QueryKind::TopK(k) => {
+            let ans = snap.top_k(k);
+            j.key("epsilon").num(snap.epsilon());
+            j.key("k").uint(k as u64);
+            j.key("set_is_certain").bool(ans.set_is_certain);
+            push_scores(&mut j, "ranking", &ans.ranking);
         }
-        extra.family(
-            "dppr_slo_breaching",
-            "1 while the SLO's fast-window burn is at or above 1",
-            "gauge",
-        );
-        extra.family("dppr_slo_breach_total", "Healthy-to-breaching transitions per SLO", "counter");
-        for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
-            extra.series_u64_multi(
-                "dppr_slo_breaching",
-                &[("slo", spec.name)],
-                st.breaching.load(Relaxed) as u64,
-            );
-            extra.series_u64_multi(
-                "dppr_slo_breach_total",
-                &[("slo", spec.name)],
-                st.breaches.load(Relaxed),
-            );
+        QueryKind::Score(v) => {
+            let b = snap.score(v);
+            j.key("epsilon").num(snap.epsilon());
+            j.key("vertex").uint(v as u64);
+            j.key("estimate").num(b.estimate);
+            j.key("lo").num(b.lo);
+            j.key("hi").num(b.hi);
+        }
+        QueryKind::Threshold(bits) => {
+            let delta = f64::from_bits(bits);
+            let ans = snap.above_threshold(delta);
+            j.key("delta").num(delta);
+            push_scores(&mut j, "certain", &ans.certain);
+            push_scores(&mut j, "possible", &ans.possible);
+        }
+        QueryKind::Compare(a, b) => {
+            let order = match snap.compare(a, b) {
+                Some(std::cmp::Ordering::Greater) => "greater",
+                Some(std::cmp::Ordering::Less) => "less",
+                Some(std::cmp::Ordering::Equal) => "equal",
+                None => "undecidable",
+            };
+            j.key("a").uint(a as u64);
+            j.key("b").uint(b as u64);
+            j.key("order").str(order);
         }
     }
-    // Process-level gauges out of /proc/self (all 0 without procfs).
-    let proc = dppr_obs::ProcessStats::sample();
-    extra.gauge_u64("dppr_process_rss_bytes", "Resident set size", proc.rss_bytes);
-    extra.gauge_u64("dppr_process_open_fds", "Open file descriptors", proc.open_fds);
-    extra.gauge_u64("dppr_process_threads", "OS threads", proc.threads);
-    extra.gauge_u64(
-        "dppr_metrics_series_samples",
-        "Rows retained by the in-process metrics time-series",
-        ctx.series.len() as u64,
-    );
-    extra.gauge_u64(
-        "dppr_trace_buffered",
-        "Trace events currently buffered",
-        ctx.metrics.trace.len() as u64,
-    );
-    extra.counter_u64(
-        "dppr_trace_dropped_total",
-        "Trace events evicted from the ring",
-        ctx.metrics.trace.dropped(),
-    );
-    // Per-write-shard scalar families: one labelled series per shard so
-    // a straggling, degraded, or behind-on-checkpoints shard is visible
-    // without scraping logs. (The labelled stage *histograms* come from
-    // the registry render below.)
-    struct ShardFam {
-        name: &'static str,
-        help: &'static str,
-        kind: &'static str,
-        get: fn(&WriteShardState) -> u64,
+    j.end_obj();
+    j.finish()
+}
+
+/// `"key":[{vertex, estimate, lo, hi}, ...]`.
+fn push_scores(j: &mut JsonBuf, key: &str, scores: &[BoundedScore]) {
+    j.key(key).begin_arr();
+    for b in scores {
+        j.begin_obj();
+        j.key("vertex").uint(b.vertex as u64);
+        j.key("estimate").num(b.estimate);
+        j.key("lo").num(b.lo);
+        j.key("hi").num(b.hi);
+        j.end_obj();
     }
-    let fams = [
-        ShardFam {
-            name: "dppr_write_shard_epoch",
-            help: "Published epoch per write shard",
-            kind: "gauge",
-            get: |s| s.domain.epoch(),
-        },
-        ShardFam {
-            name: "dppr_write_shard_slides_total",
-            help: "Window slides applied per write shard",
-            kind: "counter",
-            get: |s| s.slides.load(Relaxed),
-        },
-        ShardFam {
-            name: "dppr_write_shard_sessions",
-            help: "Open sessions per write shard",
-            kind: "gauge",
-            get: |s| s.registry.len() as u64,
-        },
-        ShardFam {
-            name: "dppr_write_shard_durable_epoch",
-            help: "Newest durable checkpoint epoch per write shard",
-            kind: "gauge",
-            get: |s| s.durable_epoch.load(Relaxed),
-        },
-        ShardFam {
-            name: "dppr_write_shard_degraded",
-            help: "1 once the shard's WAL failed (read-only)",
-            kind: "gauge",
-            get: |s| s.degraded.load(Relaxed) as u64,
-        },
-        ShardFam {
-            name: "dppr_write_shard_stream_done",
-            help: "1 once the shard ran its stream copy dry",
-            kind: "gauge",
-            get: |s| s.stream_done.load(Relaxed) as u64,
-        },
-        ShardFam {
-            name: "dppr_write_shard_window_end",
-            help: "Window end (stream position) per write shard",
-            kind: "gauge",
-            get: |s| s.window_end.load(Relaxed),
-        },
-    ];
-    for fam in fams {
-        extra.family(fam.name, fam.help, fam.kind);
-        for s in &ctx.shards {
-            let label = ("write_shard", s.index.to_string());
-            extra.series_u64(fam.name, Some(&label), (fam.get)(s));
+    j.end_arr();
+}
+
+/// Cross-shard comparison: which of two *sessions* ranks vertex `v`
+/// higher. The per-session `/compare` never leaves one engine; this one
+/// loads both sessions' snapshots — potentially owned by different write
+/// shards at different epochs — and interval-compares their estimates.
+/// Not cached: the composite key spans two epoch lines.
+fn compare_sessions(req: &Request, ctx: &Ctx, readers: &[Reader]) -> Result<Response, String> {
+    ctx.stats.queries.fetch_add(1, Relaxed);
+    let a: VertexId = req.require("a")?;
+    let b: VertexId = req.require("b")?;
+    let v: VertexId = req.require("v")?;
+    let n = ctx.shards.len();
+    let (wa, wb) = (shard_of(a, n), shard_of(b, n));
+    if let Some(shed) = shed_check(ctx, wa).or_else(|| shed_check(ctx, wb)) {
+        return Ok(shed);
+    }
+    let (sa, sb) = match (session(ctx, readers, a, wa), session(ctx, readers, b, wb)) {
+        (Ok(sa), Ok(sb)) => (sa, sb),
+        (Err(e), _) | (_, Err(e)) => return Ok(e),
+    };
+    let (ba, bb) = (sa.score(v), sb.score(v));
+    // Certain only when the ε-intervals are disjoint, same as the
+    // in-session compare semantics.
+    let order = if ba.lo > bb.hi {
+        "greater"
+    } else if ba.hi < bb.lo {
+        "less"
+    } else {
+        "undecidable"
+    };
+    let mut j = JsonBuf::new();
+    j.begin_obj();
+    j.key("a").uint(a as u64);
+    j.key("b").uint(b as u64);
+    j.key("v").uint(v as u64);
+    j.key("epoch_a").uint(sa.epoch());
+    j.key("epoch_b").uint(sb.epoch());
+    j.key("estimate_a").num(ba.estimate);
+    j.key("estimate_b").num(bb.estimate);
+    j.key("order").str(order);
+    j.end_obj();
+    Ok(Response::new(200, j.finish()))
+}
+
+/// `GET /sessions`: the flat `sessions` array stays merged-and-sorted
+/// across shards (the unsharded wire shape); the per-shard blocks expose
+/// the partition.
+fn sessions(ctx: &Ctx) -> Response {
+    let mut all: Vec<VertexId> = ctx.shards.iter().flat_map(|s| s.registry.sources()).collect();
+    all.sort_unstable();
+    let mut j = JsonBuf::new();
+    j.begin_obj();
+    j.key("capacity").uint(ctx.shards.iter().map(|s| s.registry.capacity() as u64).sum());
+    j.key("sessions").begin_arr();
+    for s in all {
+        j.uint(s as u64);
+    }
+    j.end_arr();
+    j.key("write_shards").begin_arr();
+    for s in &ctx.shards {
+        j.begin_obj();
+        j.key("shard").uint(s.index as u64);
+        j.key("capacity").uint(s.registry.capacity() as u64);
+        j.key("sessions").begin_arr();
+        for src in s.registry.sources() {
+            j.uint(src as u64);
         }
+        j.end_arr();
+        j.end_obj();
     }
-    ctx.metrics.registry.render_prometheus(&mut extra)
+    j.end_arr();
+    j.end_obj();
+    Response::new(200, j.finish())
+}
+
+/// `/session/open` and `/session/close`: applied by the owning shard's
+/// write loop between batches; the response acknowledges acceptance,
+/// not completion.
+fn session_control(
+    req: &Request,
+    ctx: &Ctx,
+    ctl_txs: &[Sender<Control>],
+) -> Result<Response, String> {
+    let source: VertexId = req.require("source")?;
+    let open = req.path == "/session/open";
+    if open && source as usize >= ctx.vertex_bound {
+        return Err(format!(
+            "source {source} is outside the graph's vertex bound {}",
+            ctx.vertex_bound
+        ));
+    }
+    let ctl = if open { Control::Open(source) } else { Control::Close(source) };
+    let ws = shard_of(source, ctx.shards.len());
+    let accepted = ctl_txs[ws].send(ctl).is_ok();
+    let mut j = JsonBuf::new();
+    j.begin_obj();
+    j.key("accepted").bool(accepted);
+    j.key(if open { "opening" } else { "closing" }).uint(source as u64);
+    j.key("write_shard").uint(ws as u64);
+    j.end_obj();
+    Ok(Response::new(200, j.finish()))
+}
+
+fn shutdown(ctx: &Ctx) -> Response {
+    ctx.shutdown.store(true, SeqCst);
+    // Wake the blocking accept so the acceptor can exit; shards notice
+    // the flag within their poll ceiling.
+    let _ = TcpStream::connect(ctx.addr);
+    Response::new(200, r#"{"shutting_down":true}"#)
+}
+
+/// `GET /metrics`: the registry's histograms, then the catalog's
+/// scalars. The render time lands in a registered histogram, so it
+/// shows up on the *next* scrape, which keeps this scrape's text
+/// consistent.
+fn metrics(ctx: &Ctx) -> Response {
+    let t = Instant::now();
+    let mut scalars = PromText::new();
+    catalog::render_prometheus(ctx, &mut scalars);
+    let text = ctx.metrics.registry.render_prometheus(&mut scalars);
+    ctx.metrics.metrics_scrape.record(t.elapsed().as_nanos() as u64);
+    Response::with_content_type(200, PROMETHEUS_CONTENT_TYPE, text)
+}
+
+/// `GET /trace[?limit=N&kind=request|slide]`.
+fn trace(req: &Request, ctx: &Ctx) -> Result<Response, String> {
+    let limit: usize = req.parsed_or("limit", usize::MAX)?;
+    let event = match req.param("kind") {
+        None => None,
+        Some("request") => Some("\"event\":\"request\""),
+        Some("slide") => Some("\"event\":\"slide\""),
+        Some(other) => return Err(format!("unknown trace kind {other:?} (request|slide)")),
+    };
+    let body = ctx.metrics.trace.dump_with(limit, |l| event.is_none_or(|e| l.contains(e)));
+    Ok(Response::with_content_type(200, "application/x-ndjson", body))
+}
+
+/// `GET /series`: the column catalog, or `?name=&window=` aggregates
+/// and points of one column over a trailing window.
+fn series(req: &Request, ctx: &Ctx) -> Result<Response, String> {
+    let interval_ms = ctx.audit_interval.as_secs_f64() * 1e3;
+    let mut j = JsonBuf::new();
+    j.begin_obj();
+    let Some(name) = req.param("name") else {
+        j.key("interval_ms").num(interval_ms);
+        j.key("samples").uint(ctx.series.len() as u64);
+        j.key("names").begin_arr();
+        for name in ctx.series.names() {
+            j.str(name);
+        }
+        j.end_arr();
+        j.end_obj();
+        return Ok(Response::new(200, j.finish()));
+    };
+    let window_s: f64 = req.parsed_finite_or("window", 60.0)?;
+    let window_nanos = (window_s.max(0.0) * 1e9) as u64;
+    let Some(w) = ctx.series.window(name, window_nanos) else {
+        return Ok(Response::new(404, error_body(&format!("unknown series {name}"))));
+    };
+    j.key("name").str(name);
+    j.key("window_seconds").num(window_s);
+    j.key("interval_ms").num(interval_ms);
+    j.key("last").num(w.last);
+    j.key("min").num(w.min);
+    j.key("max").num(w.max);
+    j.key("avg").num(w.avg);
+    j.key("rate_per_sec").num(w.rate_per_sec);
+    j.key("points").begin_arr();
+    for (at, v) in &w.points {
+        j.begin_arr();
+        j.num(*at as f64 / 1e9);
+        j.num(*v);
+        j.end_arr();
+    }
+    j.end_arr();
+    j.end_obj();
+    Ok(Response::new(200, j.finish()))
 }

@@ -94,6 +94,21 @@ pub struct WalStats {
     pub sync_nanos: u64,
 }
 
+impl std::ops::Add for WalStats {
+    type Output = WalStats;
+
+    /// Field-wise sum, for merging the stats of several logs.
+    fn add(self, rhs: WalStats) -> WalStats {
+        WalStats {
+            appends: self.appends + rhs.appends,
+            syncs: self.syncs + rhs.syncs,
+            bytes_written: self.bytes_written + rhs.bytes_written,
+            pruned_segments: self.pruned_segments + rhs.pruned_segments,
+            sync_nanos: self.sync_nanos + rhs.sync_nanos,
+        }
+    }
+}
+
 struct Segment {
     seq: u64,
     path: PathBuf,

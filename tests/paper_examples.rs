@@ -1,8 +1,8 @@
 //! The paper's worked examples (Figures 1–3), checked end-to-end through
 //! the public facade API.
 //!
-//! Paper ids `v1..v4` map to our `0..3`. The figure graph (recovered from
-//! the arithmetic; see DESIGN.md) is 2→1, 3→1, 3→2, 4→3, 1→4, with
+//! Paper ids `v1..v4` map to our `0..3`. The figure graph (not drawn in
+//! the paper; its worked numbers imply it) is 2→1, 3→1, 3→2, 4→3, 1→4, with
 //! α = 0.5 and ε = 0.1, source `v1`.
 
 use dppr::core::seq::{sequential_local_push, SeqPushBuffers};
